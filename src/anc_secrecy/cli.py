@@ -137,21 +137,28 @@ def _network_from_dict(data: dict) -> LayeredNetwork:
     for key in ("L", "h_s", "h_t", "h_e", "M", "P_s", "P", "sigma2"):
         if key not in data:
             raise ConfigError(f"network.{key}: missing")
-    L = int(data["L"])
+    L = _int_value("L", data["L"])
     if "nodes_per_layer" in data:
-        nodes = tuple(int(x) for x in data["nodes_per_layer"])
+        nodes = tuple(_int_value("nodes_per_layer", x) for x in data["nodes_per_layer"])
     elif "N" in data:
-        nodes = (int(data["N"]),) * L
+        nodes = (_int_value("N", data["N"]),) * L
     else:
         raise ConfigError("network.nodes_per_layer: missing (or give N)")
     h = tuple(float(x) for x in data.get("h", ()))
     try:
         return LayeredNetwork(
             L=L, nodes_per_layer=nodes, h_s=float(data["h_s"]), h=h,
-            h_t=float(data["h_t"]), h_e=data["h_e"], M=int(data["M"]),
+            h_t=float(data["h_t"]), h_e=data["h_e"], M=_int_value("M", data["M"]),
             P_s=float(data["P_s"]), P=data["P"], sigma2=float(data["sigma2"]))
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
+
+
+def _int_value(key: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"network.{key}: must be an integer, got {value!r}") from exc
 
 
 def _sweep_from_dict(data: dict) -> SweepSpec:

@@ -40,6 +40,20 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _as_int(key: str, value) -> int:
+    try:
+        return int(value)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{key} must be a finite integer, got {value!r}") from exc
+
+
+def _all_finite(value) -> bool:
+    """True when a float, or every float of a nested tuple, is finite."""
+    if isinstance(value, tuple):
+        return all(_all_finite(v) for v in value)
+    return math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class LayeredNetwork:
     """Network description.
@@ -64,9 +78,10 @@ class LayeredNetwork:
     sigma2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", int(self.L))
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "nodes_per_layer", tuple(int(n) for n in self.nodes_per_layer))
+        object.__setattr__(self, "L", _as_int("L", self.L))
+        object.__setattr__(self, "M", _as_int("M", self.M))
+        object.__setattr__(self, "nodes_per_layer",
+                           tuple(_as_int("nodes_per_layer", n) for n in self.nodes_per_layer))
         object.__setattr__(self, "h_s", float(self.h_s))
         object.__setattr__(self, "h", _as_float_tuple(self.h))
         object.__setattr__(self, "h_t", float(self.h_t))
@@ -80,6 +95,9 @@ class LayeredNetwork:
             object.__setattr__(self, "P", tuple(_as_float_tuple(row) for row in self.P))
         else:
             object.__setattr__(self, "P", float(self.P))
+        for key in ("h_s", "h", "h_t", "h_e", "P_s", "P", "sigma2"):
+            if not _all_finite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
 
         if self.L < 1:
             raise ValueError("L must be >= 1")

@@ -49,6 +49,7 @@ class SearchConfig:
 class OracleDiagnostics:
     n_evals: int
     n_starts: int
+    n_merged: int
     converged: bool
     starts_agree: bool
     multimodal: bool
@@ -59,6 +60,7 @@ class OracleDiagnostics:
         return {
             "n_evals": self.n_evals,
             "n_starts": self.n_starts,
+            "n_merged": self.n_merged,
             "converged": self.converged,
             "starts_agree": self.starts_agree,
             "multimodal": self.multimodal,
@@ -83,55 +85,76 @@ class VerificationReport:
     passed: bool
 
 
-def _scalar_objective(net: LayeredNetwork, snoop: tuple[int, ...]):
-    """Fast pure-float evaluator of r_t - r_e (unclamped) over u in [0,1]^dim."""
-    L = net.L
-    m = net.M - 1
-    s2 = net.sigma2
-    ps_hs2 = net.P_s * net.h_s ** 2
-    widths = list(net.nodes_per_layer)
-    powers = [list(map(float, net.layer_power(l))) for l in range(L)]
-    gains2 = [net.gain_out(l) ** 2 for l in range(L)]
-    he = list(map(float, net.he_array()))
-    log2 = math.log2
+def _pow2(x):
+    return x ** 2
 
-    def objective(u) -> float:
-        b_m: list[float] = []
-        sig, fwd = ps_hs2, 0.0
-        sig_m = fwd_m = 0.0
-        idx = 0
-        for l in range(L):
+
+def _pow2_rows(t: np.ndarray) -> np.ndarray:
+    # libm pow per element, as the scalar path squares; t * t differs in
+    # the last bit on about 0.1% of inputs
+    return np.array([x ** 2 for x in t.tolist()])
+
+
+class _Objective:
+    """Exact r_t - r_e (unclamped) over normalized coordinates u in [0,1]^dim.
+
+    One recursion serves a single point (`u` a list of floats) and a batch
+    (`u` a (dim, B) array, one point per column). Both apply the same float
+    operations in the same order: nodes summed in node order, eavesdropper
+    terms squared by pow, math.log2 per point. A batched value therefore
+    equals the scalar value bit for bit. A state is (sig, fwd, snr_e)
+    entering a layer, so a line search that moves only layer l computes the
+    layers before l once.
+    """
+
+    def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
+        self.L, self.s2 = net.L, net.sigma2
+        offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
+        he = net.he_array().tolist()
+        # per layer: (coordinate, power cap) of each node, squared gain out,
+        # and the snooped (node, h_e) pairs on layer M
+        self.layers = [(list(zip(range(offs[l], offs[l + 1]), net.layer_power(l).tolist())),
+                        net.gain_out(l) ** 2,
+                        [(i, he[i]) for i in snoop] if l == net.M - 1 else [])
+                       for l in range(net.L)]
+        self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0)
+
+    def advance(self, u, state, l0: int, l1: int, sqrt=math.sqrt, square=_pow2):
+        """The state entering layer l1 from the state entering layer l0."""
+        s2 = self.s2
+        sig, fwd, snr_e = state
+        for nodes, g, eav in self.layers[l0:l1]:
             rx = sig + fwd + s2
-            s_sum = 0.0
-            q_sum = 0.0
-            at_m = l == m
-            if at_m:
-                sig_m, fwd_m = sig, fwd
-            p_l = powers[l]
-            for n in range(widths[l]):
-                b = u[idx] * math.sqrt(p_l[n] / rx)
-                idx += 1
+            s_sum = q_sum = 0.0
+            bs = []
+            for k, p in nodes:
+                b = u[k] * sqrt(p / rx)
                 s_sum += b
                 q_sum += b * b
-                if at_m:
-                    b_m.append(b)
-            g = gains2[l]
+                bs.append(b)
+            if eav:
+                w = own = 0.0
+                for i, h in eav:
+                    w += bs[i] * h
+                    own += square(bs[i] * h)
+                w *= w
+                snr_e = sig * w / (fwd * w + s2 * own + s2)
             s_sum *= s_sum
             sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-        snr_t = sig / (fwd + s2)
-        if snoop:
-            w = 0.0
-            own = 0.0
-            for i in snoop:
-                w += b_m[i] * he[i]
-                own += (b_m[i] * he[i]) ** 2
-            w *= w
-            snr_e = sig_m * w / (fwd_m * w + s2 * own + s2)
-        else:
-            snr_e = 0.0
-        return 0.5 * (log2(1.0 + snr_t) - log2(1.0 + snr_e))
+        return sig, fwd, snr_e
 
-    return objective
+    def value(self, state) -> float:
+        sig, fwd, snr_e = state
+        return 0.5 * (math.log2(1.0 + sig / (fwd + self.s2)) - math.log2(1.0 + snr_e))
+
+    def __call__(self, u) -> float:
+        return self.value(self.advance(u, self.start, 0, self.L))
+
+    def batch(self, X: np.ndarray, states: np.ndarray, l0: int) -> list[float]:
+        """Values of the columns of X from per-column states (B, 3) entering
+        layer l0."""
+        out = self.advance(X, tuple(states.T), l0, self.L, np.sqrt, _pow2_rows)
+        return list(map(self.value, zip(*(a.tolist() for a in out))))
 
 
 def _batch_objective(net: LayeredNetwork, snoop: tuple[int, ...], U: np.ndarray) -> np.ndarray:
@@ -169,6 +192,17 @@ def _batch_objective(net: LayeredNetwork, snoop: tuple[int, ...], U: np.ndarray)
     return 0.5 * (np.log2(1.0 + snr_t) - np.log2(1.0 + snr_e))
 
 
+def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values, largest first and ties by index: the
+    first k of a stable argsort of -vals, without sorting the rest."""
+    neg = -vals
+    cand = np.arange(neg.size)
+    if k < neg.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        cand = np.flatnonzero(~(neg > kth))
+    return cand[np.argsort(neg[cand], kind="stable")[:k]]
+
+
 def _golden_max(f, lo: float, hi: float, iters: int = 30) -> tuple[float, float]:
     a, b = lo, hi
     c = b - (b - a) * _INVPHI
@@ -186,68 +220,74 @@ def _golden_max(f, lo: float, hi: float, iters: int = 30) -> tuple[float, float]
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _line_max(f, scan, evals_box):
-    """Best point along a 1-D slice: coarse scan plus golden refinement of
-    the bracketing interval."""
-    vals = [f(x) for x in scan]
-    j = int(np.argmax(vals))
-    x_best, v_best = scan[j], vals[j]
-    lo = scan[max(j - 1, 0)]
-    hi = scan[min(j + 1, len(scan) - 1)]
-    x_g, v_g = _golden_max(f, lo, hi, iters=28)
-    evals_box[0] += len(scan) + 30
-    if v_g > v_best:
-        return x_g, v_g
-    return x_best, v_best
+def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]],
+            max_cycles: int, tol: float) -> tuple[list[tuple[float, np.ndarray, bool]], int, int]:
+    """Cyclic coordinate ascent with golden-section line searches, all
+    starts in lockstep.
 
-
-def _refine(objective, u0: np.ndarray, blocks: list[tuple[int, int]],
-            max_cycles: int, tol: float) -> tuple[np.ndarray, float, bool, int]:
-    """Cyclic coordinate ascent with golden-section line searches.
-
-    Each cycle sweeps the single coordinates and then each layer as a block
-    (all of a layer's coordinates moved to a common value); block moves
-    escape the diagonal traps where every single-coordinate move from a
-    coordinate-wise maximum loses.
+    Each cycle runs every line (layer, lo, hi) in turn, moving u[lo:hi] to
+    a common value: the single coordinates, then each wide layer as a block;
+    block moves escape the diagonal traps where every single-coordinate move
+    from a coordinate-wise maximum loses. A line is a coarse scan, batched
+    over the starts, plus a golden-section refinement of the bracketing
+    interval. At each cycle boundary, live starts in bitwise-equal states
+    merge into the lowest-index one: their futures are identical, so only
+    the work is shared. Returns per-start (best, u, converged), the number
+    of evaluations performed and the number of merged starts.
     """
-    u = u0.astype(float).copy()
-    dim = u.size
-    best = objective(u)
-    evals = [1]
-    scan = _LINE_SCAN
-    converged = False
-    for _ in range(max_cycles):
-        before = best
-        for i in range(dim):
-            xi = u[i]
-
-            def f(x, i=i):
-                u[i] = x
-                return objective(u)
-
-            x_best, v_best = _line_max(f, scan, evals)
-            if v_best > best:
-                best = v_best
-                u[i] = x_best
-            else:
-                u[i] = xi
-        for lo_i, hi_i in blocks:
-            saved = u[lo_i:hi_i].copy()
-
-            def f_block(x, lo_i=lo_i, hi_i=hi_i):
-                u[lo_i:hi_i] = x
-                return objective(u)
-
-            x_best, v_best = _line_max(f_block, scan, evals)
-            if v_best > best:
-                best = v_best
-                u[lo_i:hi_i] = x_best
-            else:
-                u[lo_i:hi_i] = saved
-        if best - before < tol:
-            converged = True
+    n, ns, scan = len(starts), _LINE_SCAN.size, _LINE_SCAN.tolist()
+    us = [s.astype(float) for s in starts]
+    rep, best, conv = list(range(n)), [0.0] * n, [False] * n
+    live, evals = list(range(n)), 0
+    for cycle in range(max_cycles + 1):
+        groups: dict[bytes, int] = {}
+        for k in live:
+            rep[k] = groups.setdefault(us[k].tobytes(), k)
+        live = list(groups.values())
+        if cycle == 0:
+            for k in live:
+                best[k] = obj(us[k].tolist())
+            evals += len(live)
+        if cycle == max_cycles or not live:
             break
-    return u, best, converged, evals[0]
+        before = [best[k] for k in live]
+        for l, lo, hi in lines:
+            uls = [us[k].tolist() for k in live]
+            states = [obj.advance(ul, obj.start, 0, l) for ul in uls]
+            X = np.repeat(np.array(uls).T, ns, axis=1)
+            X[lo:hi] = np.tile(_LINE_SCAN, len(live))
+            vals = obj.batch(X, np.repeat(states, ns, axis=0), l)
+            for g, (k, ul, state) in enumerate(zip(live, uls, states)):
+                row = vals[g * ns:(g + 1) * ns]
+                j = int(np.argmax(row))
+
+                def f(x):
+                    ul[lo:hi] = [x] * (hi - lo)
+                    return obj.value(obj.advance(ul, state, l, obj.L))
+
+                x_best, v_best = scan[j], row[j]
+                x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)],
+                                       iters=28)
+                if v_g > v_best:
+                    x_best, v_best = x_g, v_g
+                if v_best > best[k]:
+                    best[k] = v_best
+                    us[k][lo:hi] = x_best
+            evals += len(live) * (ns + 30)
+        still = []
+        for k, b0 in zip(live, before):
+            if best[k] - b0 < tol:
+                conv[k] = True
+            else:
+                still.append(k)
+        live = still
+    finals = []
+    for k in range(n):
+        r = k
+        while rep[r] != r:
+            r = rep[r]
+        finals.append((best[r], us[r], conv[r]))
+    return finals, evals, sum(r != k for k, r in enumerate(rep))
 
 
 def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
@@ -289,7 +329,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     sym = np.stack([g.ravel() for g in sym_axes], axis=1)
     cands.append(np.repeat(sym, net.nodes_per_layer, axis=1))
     # one layer backed off onto a log scale, everything else at the bound
-    offs = np.cumsum([0] + list(net.nodes_per_layer))
+    offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
     for l in range(net.L):
         fam = np.ones((_LOG_FAMILY.size, dim))
         fam[:, offs[l]:offs[l + 1]] = _LOG_FAMILY[:, None]
@@ -297,21 +337,16 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     cands.append(rng.random((_RANDOM_SCAN, dim)))
     U = np.vstack(cands)
     vals = _batch_objective(net, snoop, U)
-    order = np.argsort(-vals, kind="stable")
-    n_starts = min(cfg.restarts, len(order))
-    starts = U[order[:n_starts]]
+    n_starts = min(cfg.restarts, len(vals))
+    order = _top_k(vals, n_starts)
+    starts = U[order]
     initial_best = float(vals[order[0]])
 
-    objective = _scalar_objective(net, snoop)
-    blocks = [(int(offs[l]), int(offs[l + 1])) for l in range(net.L)
-              if net.nodes_per_layer[l] > 1]
-    total_evals = int(U.shape[0])
-    finals: list[tuple[float, np.ndarray, bool]] = []
-    for s in starts:
-        u, val, conv, ev = _refine(objective, s, blocks, cfg.max_iters,
-                                   cfg.refine_tol)
-        total_evals += ev
-        finals.append((val, u, conv))
+    lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
+    lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
+    finals, evals, n_merged = _refine(_Objective(net, snoop), starts, lines,
+                                      cfg.max_iters, cfg.refine_tol)
+    total_evals = int(U.shape[0]) + evals
 
     best_val = max(v for v, _, _ in finals)
     # deterministic tie-break: among near-best finals, lexicographically
@@ -337,6 +372,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     diag = OracleDiagnostics(
         n_evals=total_evals,
         n_starts=n_starts,
+        n_merged=n_merged,
         converged=all(c for _, _, c in finals),
         starts_agree=agree,
         multimodal=not agree,

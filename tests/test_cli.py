@@ -202,6 +202,18 @@ class TestCliProcess:
         # sweep requires the closed form, which rejects ragged widths
         assert r.returncode == 2, r.stderr
 
+    @pytest.mark.parametrize("key, value", [("h_s", "NaN"), ("P", "Infinity"),
+                                            ("sigma2", "-Infinity"), ("M", "NaN")])
+    def test_exit_1_non_finite_value(self, tmp_path, key, value):
+        text = json.dumps(EXAMPLE1_DICT).replace(
+            f'"{key}": {json.dumps(EXAMPLE1_DICT["network"][key])}', f'"{key}": {value}')
+        assert value in text
+        p = tmp_path / "bad.json"
+        p.write_text(text, encoding="utf-8")
+        r = _run_cli(["solve", "--config", str(p)])
+        assert r.returncode == 1, r.stderr
+        assert key in r.stderr
+
     def test_exit_3_regime_violation(self, tmp_path):
         cfg = bundled_presets()["fig5b"]
         d = cfg.to_dict()

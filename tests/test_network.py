@@ -49,6 +49,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScalingVector(beta=((1.5,),), beta_max=((1.0,),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["h_s", "h", "h_t", "h_e", "h_e_node", "P_s", "P",
+                                     "P_node", "sigma2"])
+    def test_rejects_non_finite_values(self, key, bad):
+        params = dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4,
+                      h_e=0.2, M=2, P_s=5.0, P=5.0, sigma2=1.0)
+        if key == "h_e_node":
+            key, params["h_e"] = "h_e", (0.2, bad)
+        elif key == "P_node":
+            key, params["P"] = "P", ((5.0, 5.0), (bad, 5.0))
+        elif key == "h":
+            params["h"] = (bad,)
+        else:
+            params[key] = bad
+        with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+            LayeredNetwork(**params)
+
+    @pytest.mark.parametrize("key", ["L", "M", "nodes_per_layer"])
+    def test_rejects_non_finite_integers(self, key):
+        params = dict(L=1, nodes_per_layer=(2,), h_s=0.6, h=(), h_t=0.4, h_e=0.2,
+                      M=1, P_s=5.0, P=5.0, sigma2=1.0)
+        params[key] = (math.inf,) if key == "nodes_per_layer" else math.nan
+        with pytest.raises(ValueError, match=rf"^{key} must be a finite integer"):
+            LayeredNetwork(**params)
+
 
 class TestBetaMax:
     def test_example1_value(self):

@@ -10,6 +10,7 @@ from anc_secrecy import (
     propagate,
     verify_against_closed_form,
 )
+from anc_secrecy.oracle import _LINE_SCAN, _Objective, _refine, _top_k
 from conftest import random_diamond, random_ecgal
 
 EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
@@ -89,6 +90,12 @@ def test_ascent_diagnostics():
     assert d.n_evals > 0
     assert d.best_objective >= max(d.start_objectives) - 1e-15
     assert isinstance(d.as_dict()["start_objectives"], list)
+    # merged starts still count in the per-start fields, and a merged start
+    # ends on the value of the start it merged into
+    assert d.as_dict()["n_merged"] == d.n_merged
+    assert 0 <= d.n_merged < d.n_starts
+    assert len(d.start_objectives) == d.n_starts
+    assert len(set(d.start_objectives)) <= d.n_starts - d.n_merged
 
 
 def test_dimension_guard():
@@ -137,3 +144,77 @@ def test_clipping_boundary_instance():
     assert abs(sol.beta_glb - bmax_m) / bmax_m < 0.01
     rep = verify_against_closed_form(net, cfg=SearchConfig(restarts=6, seed=9))
     assert rep.passed, rep
+
+
+def _lines(net):
+    offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
+    lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
+    return lines + [(l, offs[l], offs[l + 1]) for l in range(net.L)
+                    if net.nodes_per_layer[l] > 1]
+
+
+RAGGED = [
+    LayeredNetwork(L=3, nodes_per_layer=(1, 3, 2), h_s=0.7, h=(0.5, 1.1), h_t=0.4,
+                   h_e=0.3, M=M, P_s=6.0, P=((4.0,), (2.0, 3.0, 5.0), (1.0, 7.0)),
+                   sigma2=0.8)
+    for M in (1, 2, 3)
+] + [
+    LayeredNetwork(L=2, nodes_per_layer=(3, 2), h_s=0.9, h=(0.6,), h_t=0.2,
+                   h_e=(0.4, 0.05, 0.9), M=1, P_s=20.0, P=3.0, sigma2=1.3),
+    LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.3, h=(1.2,), h_t=0.8,
+                   h_e=(0.7, 0.1, 0.3), M=2, P_s=2.0, P=9.0, sigma2=0.5),
+    EXAMPLE1,
+]
+
+
+def _subsets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("net", RAGGED)
+def test_batched_line_values_equal_scalar_objective(net):
+    rng = np.random.default_rng(17)
+    n_m = net.nodes_per_layer[net.M - 1]
+    dim = sum(net.nodes_per_layer)
+    ns = _LINE_SCAN.size
+    for snoop in _subsets(n_m):
+        obj = _Objective(net, snoop)
+        bases = rng.random((3, dim)).tolist() + [[1.0] * dim, [0.0] * dim]
+        for l, lo, hi in _lines(net):
+            states = [obj.advance(u, obj.start, 0, l) for u in bases]
+            X = np.repeat(np.array(bases).T, ns, axis=1)
+            X[lo:hi] = np.tile(_LINE_SCAN, len(bases))
+            batched = obj.batch(X, np.repeat(states, ns, axis=0), l)
+            scalar = [obj(col) for col in X.T.tolist()]
+            assert batched == scalar, (snoop, l, lo, hi)
+
+
+@pytest.mark.parametrize("net", RAGGED[2:])
+def test_lockstep_refinement_matches_solo(net):
+    rng = np.random.default_rng(23)
+    obj = _Objective(net, tuple(range(net.nodes_per_layer[net.M - 1])))
+    dim = sum(net.nodes_per_layer)
+    distinct = rng.random((4, dim))
+    distinct[3] = 1.0
+    starts = distinct[[0, 1, 0, 2, 3, 1, 3]]  # duplicates, out of order
+    lines = _lines(net)
+    together, evals, merged = _refine(obj, starts, lines, 60, 1e-10)
+    alone = [_refine(obj, s[None, :], lines, 60, 1e-10) for s in distinct]
+    for k, (best, u, conv) in enumerate(together):
+        b1, u1, c1 = alone[[0, 1, 0, 2, 3, 1, 3][k]][0][0]
+        assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
+    assert merged >= 3
+    assert evals <= sum(a[1] for a in alone)
+
+
+def test_top_k_matches_stable_argsort():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        vals = rng.integers(0, 6, n).astype(float)  # many planted ties
+        vals[rng.random(n) < 0.2] = -0.0
+        if trial % 3 == 0:
+            vals = vals + rng.random(n) * 1e-3
+        for k in range(1, n + 2):
+            np.testing.assert_array_equal(_top_k(vals, k),
+                                          np.argsort(-vals, kind="stable")[:k])
