@@ -3,7 +3,7 @@ CSV output for single-shot solves, snooping-subset analyses, source-power
 sweeps, and high-SNR gap reports.
 
 Exit codes: 0 success, 1 config parse/validation error, 2 model validation
-error, 3 high-SNR regime violation. ANC_THREADS caps the sweep worker count.
+error, 3 high-SNR regime violation.
 """
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -144,12 +142,14 @@ def _network_from_dict(data: dict) -> LayeredNetwork:
         nodes = (_int_value("N", data["N"]),) * L
     else:
         raise ConfigError("network.nodes_per_layer: missing (or give N)")
-    h = tuple(float(x) for x in data.get("h", ()))
+    values = dict(
+        L=L, nodes_per_layer=nodes, M=_int_value("M", data["M"]),
+        h=_float_value("h", data.get("h", []), depth=1),
+        h_e=_float_value("h_e", data["h_e"], depth=isinstance(data["h_e"], (list, tuple))),
+        P=_float_value("P", data["P"], depth=2 * isinstance(data["P"], (list, tuple))),
+        **{key: _float_value(key, data[key]) for key in ("h_s", "h_t", "P_s", "sigma2")})
     try:
-        return LayeredNetwork(
-            L=L, nodes_per_layer=nodes, h_s=float(data["h_s"]), h=h,
-            h_t=float(data["h_t"]), h_e=data["h_e"], M=_int_value("M", data["M"]),
-            P_s=float(data["P_s"]), P=data["P"], sigma2=float(data["sigma2"]))
+        return LayeredNetwork(**values)
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
@@ -159,6 +159,18 @@ def _int_value(key: str, value) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"network.{key}: must be an integer, got {value!r}") from exc
+
+
+def _float_value(key: str, value, depth: int = 0):
+    """A number, or lists of numbers nested `depth` deep, as floats."""
+    if depth:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"network.{key}: must be a list, got {value!r}")
+        return tuple(_float_value(key, v, depth - 1) for v in value)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"network.{key}: must be a number, got {value!r}") from exc
 
 
 def _sweep_from_dict(data: dict) -> SweepSpec:
@@ -276,6 +288,9 @@ def _sweep_point(net: LayeredNetwork, p_s: float) -> list[str]:
     net_p = replace(net, P_s=p_s)
     r_opt = optimal_scaling(net_p).rate.r_s
     r_allmax = rates(net_p, beta_max_vector(net_p)).r_s
+    if net.M < net.L:
+        # the cutset bound holds only for an eavesdropper on the last layer
+        return [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax), "", ""]
     c_cut = cutset_bound(net_p)
     return [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax), _fmt(c_cut),
             _fmt(c_cut - r_allmax)]
@@ -285,13 +300,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     net = cfg.network
     values = cfg.sweep.values()
     header = ["P_s", "r_s_opt", "r_s_allmax", "c_cut", "gap"]
-    workers = _worker_count(len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_point(net, float(v)), values))
-    else:
-        rows = [_sweep_point(net, float(v)) for v in values]
-    return header, rows
+    return header, [_sweep_point(net, float(v)) for v in values]
 
 
 def run_highsnr(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
@@ -300,13 +309,6 @@ def run_highsnr(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     row = [_fmt(report.delta), _fmt(report.c_cut), _fmt(report.r_s_delta),
            _fmt(report.actual_gap), _fmt(report.gap_bound)]
     return header, [row]
-
-
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("ANC_THREADS", "").strip()
-    if env:
-        return max(1, min(int(env), n_tasks))
-    return max(1, min(os.cpu_count() or 1, 8, n_tasks))
 
 
 _RUNNERS = {"solve": run_solve, "subset": run_subset,

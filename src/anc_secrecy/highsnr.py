@@ -22,7 +22,7 @@ from .network import (
     RateReport,
     RegimeViolationError,
     ScalingVector,
-    propagate,
+    cascade,
 )
 
 
@@ -65,18 +65,11 @@ def _check_regime(net: LayeredNetwork, betas: list[float], delta: float) -> None
     reach 1/delta. Skipped at delta = 0, which is the idealized limit."""
     if delta == 0:
         return
-    s2 = net.sigma2
-    n = net.uniform_N
-    sig = net.P_s * net.h_s ** 2
-    fwd = 0.0
+    c = cascade(net, lambda l, bmax: np.full_like(bmax, betas[l]))
     for l in range(net.L):
-        snr = sig / (fwd + s2)
+        snr = float(c.sig[l] / (c.fwd[l] + net.sigma2))
         if snr * delta < 1.0 - 1e-9:
             raise RegimeViolationError(layer=l + 1, snr=snr, delta=delta)
-        g = net.gain_out(l) ** 2
-        s_sum = (n * betas[l]) ** 2
-        q_sum = n * betas[l] ** 2
-        sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
 
 
 def high_snr_scaling(net: LayeredNetwork, delta: float) -> ScalingVector:
@@ -94,19 +87,22 @@ def high_snr_scaling(net: LayeredNetwork, delta: float) -> ScalingVector:
 
 def cutset_bound(net: LayeredNetwork) -> float:
     """Upper bound on the secrecy capacity from the multiple-access cut
-    between the last relay layer and the destination / the eavesdropper:
+    between the last relay layer (M = L) and the destination / the
+    eavesdropper, clamped at 0 because a secrecy capacity is never negative:
 
-        C_cut = 1/2 log2((1 + P_t/sigma2) / (1 + P_e/sigma2)),
+        C_cut = max(0, 1/2 log2((1 + P_t/sigma2) / (1 + P_e/sigma2))),
         P_t = N^2 P h_t^2,  P_e = N^2 P h_e^2.
     """
     he = net.common_h_e
     if he is None:
         raise ValueError("cutset bound requires a common eavesdropper gain")
+    if net.M != net.L:
+        raise ValueError("cutset bound assumes the last layer is snooped (M = L)")
     coherent = float(np.sqrt(net.layer_power(net.L - 1)).sum()) ** 2
     p_t = coherent * net.h_t ** 2
     p_e = coherent * he ** 2
     s2 = net.sigma2
-    return 0.5 * math.log2((1.0 + p_t / s2) / (1.0 + p_e / s2))
+    return max(0.0, 0.5 * math.log2((1.0 + p_t / s2) / (1.0 + p_e / s2)))
 
 
 def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:

@@ -9,11 +9,11 @@ S = (sum beta_M)^2 and Q = sum beta_M^2:
     SNR_t = rho * A * S * h_M^2 / (B * S * h_M^2 + C * Q * h_M^2 + D)
     SNR_e = rho * E * S * h_e^2 / (F * S * h_e^2 + Q * h_e^2 + 1)
 
-A = alpha*E is known in closed form, so (B, C, D) follow from exact SNR_t
-evaluations at three probe configurations with independent (S, Q): no
-recursion is needed and the extraction validates itself against direct
-propagation. The common optimal beta_M then solves a quadratic in beta_M^2
-whose coefficients generalize the printed two-node form to any N.
+E and F come from the upstream propagation; A = alpha*E, B = lam*E + mu*F,
+C = mu and D = nu from a backward recursion over the full-power layers
+(see `extract_coefficients`). The common optimal beta_M then solves a
+quadratic in beta_M^2 whose coefficients generalize the printed two-node
+form to any N.
 """
 from __future__ import annotations
 
@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    Cascade,
     DegenerateNetworkError,
     LayeredNetwork,
     RateReport,
     ScalingVector,
     cascade,
+    max_scaling_with_layer,
     rates,
 )
 
@@ -89,105 +91,53 @@ def _require_lemma_network(net: LayeredNetwork) -> tuple[int, float]:
     return n, he
 
 
-def _upstream_state(net: LayeredNetwork, beta_upstream) -> tuple[list, float, float, float, float]:
-    """Propagate layers 1..M-1 and return (betas, sig, fwd, E, F)."""
-    s2 = net.sigma2
-    sig = net.P_s * net.h_s ** 2
-    fwd = 0.0
-    e_val = net.h_s ** 2
-    f_val = 0.0
-    betas = []
-    for l in range(net.M - 1):
-        rx = sig + fwd + s2
-        if beta_upstream is None:
-            b = np.sqrt(net.layer_power(l) / rx)
-        else:
-            b = np.asarray(beta_upstream[l], dtype=float)
-        betas.append(b)
-        g = net.h[l] ** 2
-        s_sum = float(b.sum()) ** 2
-        q_sum = float((b ** 2).sum())
-        e_val *= s_sum * g
-        f_val = (f_val * s_sum + q_sum) * g
-        sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    return betas, sig, fwd, e_val, f_val
-
-
-def _snr_t_downstream_max(net: LayeredNetwork, sig_m: float, fwd_m: float,
-                          beta_m_vec) -> float:
-    """Exact SNR_t with the given layer-M vector and layers M+1..L at the
-    full-power bound implied by the actual upstream transmissions."""
-    s2 = net.sigma2
-    m = net.M - 1
-    g = net.gain_out(m) ** 2
-    s_sum = float(np.sum(beta_m_vec)) ** 2
-    q_sum = float(np.sum(np.square(beta_m_vec)))
-    sig, fwd = sig_m * s_sum * g, (fwd_m * s_sum + s2 * q_sum) * g
-    for l in range(net.M, net.L):
-        rx = sig + fwd + s2
-        b = np.sqrt(net.layer_power(l) / rx)
-        g = net.gain_out(l) ** 2
-        s_sum = float(b.sum()) ** 2
-        q_sum = float((b ** 2).sum())
-        sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    return sig / (fwd + s2)
-
-
 def extract_coefficients(net: LayeredNetwork, beta_upstream=None) -> CoefficientSet:
-    """Recover the layer-M subproblem coefficients by probe evaluation.
+    """The layer-M subproblem coefficients by an exact backward recursion.
 
-    Layers 1..M-1 use beta_upstream (their maxima when omitted). Three exact
-    SNR_t evaluations at probe vectors with linearly independent (S, Q) pin
-    (B, C, D) through a linear solve, with A = alpha*E fixed by the
-    numerator. A single-node layer M cannot separate S from Q, so probing
-    then widens layer M to two virtual nodes; the downstream response
-    depends only on (S, Q), not on the layer's width, so the recovered
-    coefficients are those of the real network.
+    Layers 1..M-1 use beta_upstream (their maxima when omitted), fixing E
+    and F. Up to the factor 1/rx, a full-power layer l > M maps (sig, fwd, 1)
+    linearly to (a sig, a fwd + sigma2 q, rx), with a = (sum sqrt P_l)^2 g_l
+    and q = (sum P_l) g_l. So the destination's noise plus sigma2 is a linear
+    form (d1, d2, d3) in the state leaving layer M: from (0, 1, sigma2), each
+    layer L..M+1 steps it to (d1 a + d3, d2 a + d3, sigma2 (d2 q + d3)).
+    Then alpha = prod a, lam = rho d1, mu = d2 and nu = d3 / sigma2.
     """
     n, he = _require_lemma_network(net)
-    rho = net.P_s / net.sigma2
-    _, sig_m, fwd_m, e_val, f_val = _upstream_state(net, beta_upstream)
+    m = net.M - 1
+    return _coefficients(net, n, he, cascade(
+        net, lambda l, bmax: bmax if beta_upstream is None or l >= m else beta_upstream[l]))
 
-    h_m2 = net.gain_out(net.M - 1) ** 2
-    alpha = 1.0
-    for l in range(net.M, net.L):
-        sqrt_p = float(np.sqrt(net.layer_power(l)).sum())
-        alpha *= sqrt_p ** 2 * net.gain_out(l) ** 2
-    a_val = alpha * e_val
 
-    rx_m = sig_m + fwd_m + net.sigma2
-    c = math.sqrt(float(net.layer_power(net.M - 1)[0]) / rx_m)
-    width = max(n, 2)
-    probes = [np.full(width, c), np.full(width, c / 2),
-              np.concatenate(([c], np.zeros(width - 1)))]
-
-    rows, rhs = [], []
-    for vec in probes:
-        s_val = float(vec.sum()) ** 2
-        q_val = float((vec ** 2).sum())
-        snr = _snr_t_downstream_max(net, sig_m, fwd_m, vec)
-        rows.append([snr * s_val * h_m2, snr * q_val * h_m2, snr])
-        rhs.append(rho * a_val * s_val * h_m2)
-    mat = np.asarray(rows)
-    try:
-        sol = np.linalg.solve(mat, np.asarray(rhs))
-    except np.linalg.LinAlgError:
-        raise DegenerateNetworkError("singular probe system (dead gain out of layer M)")
-    if not np.all(np.isfinite(sol)) or np.linalg.cond(mat) > 1e13:
-        raise DegenerateNetworkError("singular probe system (dead gain out of layer M)")
-    b_val, c_val, d_val = (float(x) for x in sol)
-
+def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> CoefficientSet:
+    """The coefficients with layers 1..M-1 sending as in the cascade c."""
+    # the source-side compounds: sig_M = P_s E and fwd_M = sigma2 F
+    e_val, f_val = net.h_s ** 2, 0.0
+    for l in range(net.M - 1):
+        g = net.h[l] ** 2
+        e_val *= c.s_sum[l] * g
+        f_val = (f_val * c.s_sum[l] + c.q_sum[l]) * g
+    e_val, f_val = float(e_val), float(f_val)
     if e_val <= 0:
         raise DegenerateNetworkError("dead source path into layer M")
-    mu = c_val
-    nu = d_val
-    lam = (b_val - mu * f_val) / e_val
+    s2 = net.sigma2
+    rho = net.P_s / s2
+    downstream = []
+    for l in range(net.M, net.L):
+        p = net.layer_power(l)
+        g = net.gain_out(l) ** 2
+        downstream.append((float(np.sqrt(p).sum()) ** 2 * g, float(p.sum()) * g))
+    alpha = math.prod((a for a, _ in downstream), start=1.0)
+    d1, d2, d3 = 0.0, 1.0, s2
+    for a, q in reversed(downstream):
+        d1, d2, d3 = d1 * a + d3, d2 * a + d3, s2 * (d2 * q + d3)
+    lam, mu, nu = rho * d1, d2, d3 / s2
 
+    h_m2 = net.gain_out(net.M - 1) ** 2
     cal_a, cal_b, cal_c = _stationary_coefficients(
         n=n, rho=rho, h_m2=h_m2, he2=he ** 2,
         E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu)
     return CoefficientSet(E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu,
-                          A=a_val, B=b_val, C=c_val, D=d_val,
+                          A=alpha * e_val, B=lam * e_val + mu * f_val, C=mu, D=nu,
                           cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
 
 
@@ -265,38 +215,22 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
     layer M backs off. h_e = 0 means no eavesdropper: everything at max.
     """
     n, he = _require_lemma_network(net)
-    diagnostics: list[str] = []
-
+    allmax = cascade(net, lambda l, bmax: bmax)
     if he == 0.0:
-        betas, bounds = cascade(net, lambda l, bmax: bmax)
-        sv = _to_scaling(betas, bounds)
+        sv = allmax.scaling()
         return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=None,
                                diagnostics=("no eavesdropper: all layers at max",))
 
-    coeffs = extract_coefficients(net)
-    _, sig_m, fwd_m, _, _ = _upstream_state(net, None)
-    rx_m = sig_m + fwd_m + net.sigma2
-    beta_m_max = math.sqrt(float(net.layer_power(net.M - 1)[0]) / rx_m)
-    h_m = net.gain_out(net.M - 1)
-    sol_m = lemma_beta_M(coeffs, h_m, he, beta_m_max)
-    diagnostics.extend(sol_m.diagnostics)
-
-    beta_m = sol_m.beta_opt
+    m = net.M - 1
+    sol_m = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
+                         float(allmax.bounds[m][0]))
     if sol_m.needs_oracle:
         from .oracle import SearchConfig, maximize_secrecy
         res = maximize_secrecy(net, cfg=SearchConfig(restarts=8))
-        diagnostics.append("layer-M optimum from search fallback")
         return LayeredSolution(beta=res.beta, rate=res.rate, layer_m=sol_m,
-                               diagnostics=tuple(diagnostics))
+                               diagnostics=sol_m.diagnostics
+                               + ("layer-M optimum from search fallback",))
 
-    m = net.M - 1
-    betas, bounds = cascade(
-        net, lambda l, bmax: np.full_like(bmax, beta_m) if l == m else bmax)
-    sv = _to_scaling(betas, bounds)
+    sv = max_scaling_with_layer(net, m, sol_m.beta_opt)
     return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=sol_m,
-                           diagnostics=tuple(diagnostics))
-
-
-def _to_scaling(betas, bounds) -> ScalingVector:
-    return ScalingVector(beta=tuple(tuple(map(float, b)) for b in betas),
-                         beta_max=tuple(tuple(map(float, b)) for b in bounds))
+                           diagnostics=sol_m.diagnostics)

@@ -7,13 +7,13 @@ relay layer M. All channel gains between two adjacent layers are equal, so
 every node of a layer sees identical input statistics: a coherent source
 component, a forwarded-noise component common to the whole layer, and its
 own thermal noise. Received powers therefore propagate front-to-back with
-two scalars per layer, which is what `propagate` computes exactly.
+two scalars per layer, which the one kernel `cascade_layers` computes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,31 +232,58 @@ class RateReport:
         return cls(snr_t=snr_t, snr_e=snr_e, r_t=r_t, r_e=r_e, r_s=max(r_t - r_e, 0.0))
 
 
-def cascade(net: LayeredNetwork, policy) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Front-to-back propagation computing each layer's scaling bound.
+class Cascade(NamedTuple):
+    """One front-to-back propagation, per relay layer: the betas used, their
+    bounds and the sums s_sum = (sum beta)^2 and q_sum = sum beta^2. sig and
+    fwd are the signal and forwarded-noise powers entering each layer, then
+    the destination's."""
 
-    policy(l, bmax) -> betas actually used at layer l; the received power of
-    layer l+1 is then computed from those betas, so bounds always reflect the
-    actual upstream transmissions. Returns (betas, bounds) as per-layer arrays.
+    betas: list
+    bounds: list
+    s_sum: list
+    q_sum: list
+    sig: list
+    fwd: list
+
+    def scaling(self) -> ScalingVector:
+        """The betas used, with their bounds, of a single-point cascade."""
+        return ScalingVector(beta=tuple(tuple(map(float, b)) for b in self.betas),
+                             beta_max=tuple(tuple(map(float, b)) for b in self.bounds))
+
+
+def cascade_layers(net: LayeredNetwork, policy):
+    """The power-propagation kernel: exact front-to-back recursion.
+
+    policy(l, bmax) -> betas actually used at layer l, given its bound
+    bmax = sqrt(P_l / rx_l); the received power of layer l+1 is computed from
+    those betas, so bounds always reflect the actual upstream transmissions.
+    Policies returning (B, N_l) arrays propagate a batch of B points at once.
+    Yields (betas, bmax, s_sum, q_sum, sig, fwd) per relay layer, with the
+    powers entering it, then the destination's (sig, fwd) padded with None.
+    Only the current layer is held, so a large batch stays cheap.
     """
     s2 = net.sigma2
-    sig = net.P_s * net.h_s ** 2
-    fwd = 0.0
-    betas: list[np.ndarray] = []
-    bounds: list[np.ndarray] = []
+    sig, fwd = net.P_s * net.h_s ** 2, 0.0
     for l in range(net.L):
         rx = sig + fwd + s2
-        if not rx > 0:
-            raise DegenerateNetworkError(f"zero received power at layer {l + 1}")
-        bmax = np.sqrt(net.layer_power(l) / rx)
+        # a batch's received powers form a column against the layer's nodes
+        col = rx[:, None] if isinstance(rx, np.ndarray) else rx
+        bmax = np.sqrt(net.layer_power(l) / col)
         b = np.asarray(policy(l, bmax), dtype=float)
-        betas.append(b)
-        bounds.append(bmax)
         g = net.gain_out(l) ** 2
-        s_sum = float(b.sum()) ** 2
-        q_sum = float((b ** 2).sum())
+        # ** squares one point's numpy-scalar sum by libm pow, like a float,
+        # and a batch's sums elementwise
+        s_sum = b.sum(axis=-1) ** 2
+        q_sum = (b ** 2).sum(axis=-1)
+        yield b, bmax, s_sum, q_sum, sig, fwd
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    return betas, bounds
+    yield None, None, None, None, sig, fwd
+
+
+def cascade(net: LayeredNetwork, policy) -> Cascade:
+    """Every record of `cascade_layers`, for one point or a small batch."""
+    betas, bounds, s_sum, q_sum, sig, fwd = map(list, zip(*cascade_layers(net, policy)))
+    return Cascade(betas[:-1], bounds[:-1], s_sum[:-1], q_sum[:-1], sig, fwd)
 
 
 def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
@@ -267,28 +294,17 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
     """
     if not net.sigma2 > 0:
         raise DegenerateNetworkError("sigma2 must be > 0")
-    _, bounds = cascade(net, lambda l, bmax: bmax)
-    rows = tuple(tuple(float(x) for x in row) for row in bounds)
+    rows = tuple(tuple(map(float, b)) for b in cascade(net, lambda l, bmax: bmax).bounds)
     return ScalingVector(beta=rows, beta_max=rows)
 
 
 def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
     """Exact signal/noise power propagation for a given scaling vector."""
-    s2 = net.sigma2
-    sig = net.P_s * net.h_s ** 2
-    fwd = 0.0
-    sig_in, fwd_in, rx_in = [], [], []
-    for l in range(net.L):
-        sig_in.append(sig)
-        fwd_in.append(fwd)
-        rx_in.append(sig + fwd + s2)
-        b = scaling.layer(l)
-        g = net.gain_out(l) ** 2
-        s_sum = float(b.sum()) ** 2
-        q_sum = float((b ** 2).sum())
-        sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    return PowerFlow(signal_power=tuple(sig_in), noise_power=tuple(fwd_in),
-                     rx_power=tuple(rx_in), dest_signal=sig, dest_noise=fwd)
+    c = cascade(net, lambda l, bmax: scaling.layer(l))
+    return PowerFlow(signal_power=tuple(map(float, c.sig[:-1])),
+                     noise_power=tuple(map(float, c.fwd[:-1])),
+                     rx_power=tuple(float(s + f + net.sigma2) for s, f in zip(c.sig, c.fwd[:-1])),
+                     dest_signal=float(c.sig[-1]), dest_noise=float(c.fwd[-1]))
 
 
 def rates(net: LayeredNetwork, scaling: ScalingVector,
@@ -300,8 +316,8 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     the eavesdropper: the coherent source component and the noise forwarded
     from layers 1..M-1 arrive through them, plus their own thermal noise.
     """
-    flow = propagate(net, scaling)
-    snr_t = flow.dest_signal / (flow.dest_noise + net.sigma2)
+    c = cascade(net, lambda l, bmax: scaling.layer(l))
+    snr_t = float(c.sig[-1] / (c.fwd[-1] + net.sigma2))
 
     m = net.M - 1
     n_m = net.nodes_per_layer[m]
@@ -314,12 +330,12 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     if not snoop:
         return RateReport.from_snrs(snr_t, 0.0)
 
-    b_m = scaling.layer(m)
+    b_m = c.betas[m]
     he = net.he_array()
     w = float(sum(b_m[i] * he[i] for i in snoop)) ** 2
     own = float(sum((b_m[i] * he[i]) ** 2 for i in snoop))
     s2 = net.sigma2
-    snr_e = flow.signal_power[m] * w / (flow.noise_power[m] * w + s2 * own + s2)
+    snr_e = float(c.sig[m] * w / (c.fwd[m] * w + s2 * own + s2))
     return RateReport.from_snrs(snr_t, snr_e)
 
 
@@ -338,6 +354,4 @@ def max_scaling_with_layer(net: LayeredNetwork, layer: int,
             return np.full_like(bmax, float(beta_layer))
         return np.asarray(beta_layer, dtype=float)
 
-    betas, bounds = cascade(net, policy)
-    return ScalingVector(beta=tuple(tuple(map(float, b)) for b in betas),
-                         beta_max=tuple(tuple(map(float, b)) for b in bounds))
+    return cascade(net, policy).scaling()

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .network import LayeredNetwork, RateReport, ScalingVector, cascade, rates
+from .network import LayeredNetwork, RateReport, ScalingVector, cascade, cascade_layers, rates
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BUDGET = 20_000
@@ -159,36 +159,21 @@ class _Objective:
 
 def _batch_objective(net: LayeredNetwork, snoop: tuple[int, ...], U: np.ndarray) -> np.ndarray:
     """Vectorized r_t - r_e over a (B, dim) matrix of normalized coordinates."""
-    B = U.shape[0]
-    s2 = net.sigma2
-    sig = np.full(B, net.P_s * net.h_s ** 2)
-    fwd = np.zeros(B)
-    m = net.M - 1
-    sig_m = fwd_m = None
-    b_m = None
-    col = 0
-    for l in range(net.L):
-        rx = sig + fwd + s2
-        n_l = net.nodes_per_layer[l]
-        u_l = U[:, col:col + n_l]
-        col += n_l
-        bmax = np.sqrt(net.layer_power(l)[None, :] / rx[:, None])
-        b = u_l * bmax
+    offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
+    s2, m = net.sigma2, net.M - 1
+    layers = cascade_layers(net, lambda l, bmax: U[:, offs[l]:offs[l + 1]] * bmax)
+    for l, (b, _, _, _, sig, fwd) in enumerate(layers):
         if l == m:
-            sig_m, fwd_m, b_m = sig.copy(), fwd.copy(), b
-        g = net.gain_out(l) ** 2
-        s_sum = b.sum(axis=1) ** 2
-        q_sum = (b ** 2).sum(axis=1)
-        sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
+            b_m, sig_m, fwd_m = b, sig, fwd
     snr_t = sig / (fwd + s2)
     if snoop:
-        he = net.he_array()
         idx = list(snoop)
-        w = (b_m[:, idx] * he[idx]).sum(axis=1) ** 2
-        own = ((b_m[:, idx] * he[idx]) ** 2).sum(axis=1)
+        t = b_m[:, idx] * net.he_array()[idx]
+        w = t.sum(axis=1) ** 2
+        own = (t ** 2).sum(axis=1)
         snr_e = sig_m * w / (fwd_m * w + s2 * own + s2)
     else:
-        snr_e = np.zeros(B)
+        snr_e = np.zeros(U.shape[0])
     return 0.5 * (np.log2(1.0 + snr_t) - np.log2(1.0 + snr_e))
 
 
@@ -351,21 +336,9 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     best_val = max(v for v, _, _ in finals)
     # deterministic tie-break: among near-best finals, lexicographically
     # smallest beta vector
-    tied = [(v, u, c) for v, u, c in finals if best_val - v <= cfg.refine_tol]
-
-    def beta_of(u):
-        return cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax)
-
-    keyed = []
-    for v, u, c in tied:
-        betas, bounds = beta_of(u)
-        key = tuple(float(x) for b in betas for x in b)
-        keyed.append((key, betas, bounds))
-    keyed.sort(key=lambda t: t[0])
-    _, betas, bounds = keyed[0]
-
-    sv = ScalingVector(beta=tuple(tuple(map(float, b)) for b in betas),
-                       beta_max=tuple(tuple(map(float, b)) for b in bounds))
+    tied = [u for v, u, _ in finals if best_val - v <= cfg.refine_tol]
+    sv = min((cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax) for u in tied),
+             key=lambda c: np.concatenate(c.betas).tolist()).scaling()
     report = rates(net, sv, snooped=snoop)
     spread = max(v for v, _, _ in finals) - min(v for v, _, _ in finals)
     agree = spread <= max(cfg.refine_tol, 1e-9)

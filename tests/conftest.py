@@ -177,6 +177,4 @@ def random_diamond(rng: np.random.Generator, N_max: int = 3) -> LayeredNetwork:
 def random_feasible_scaling(rng: np.random.Generator,
                             net: LayeredNetwork) -> ScalingVector:
     """Uniform draw in the feasible set via the cascaded-bound map."""
-    betas, bounds = cascade(net, lambda l, bmax: rng.random(bmax.size) * bmax)
-    return ScalingVector(beta=tuple(tuple(map(float, b)) for b in betas),
-                         beta_max=tuple(tuple(map(float, b)) for b in bounds))
+    return cascade(net, lambda l, bmax: rng.random(bmax.size) * bmax).scaling()

@@ -1,8 +1,8 @@
 """Config parsing, presets, CSV output, and CLI exit codes."""
 import json
-import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,12 +11,9 @@ from anc_secrecy import ExperimentConfig, bundled_presets
 from anc_secrecy.cli import ConfigError, load_config, main, run
 
 
-def _run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "anc_secrecy", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 EXAMPLE1_DICT = {
@@ -129,6 +126,17 @@ class TestModes:
             assert float(row[4]) == pytest.approx(
                 float(row[3]) - float(row[2]), abs=1e-8)
 
+    def test_sweep_leaves_cutset_columns_empty_below_last_layer(self):
+        # the cutset bound assumes the eavesdropper on the last layer
+        cfg = bundled_presets()["fig5a"]
+        net = replace(cfg.network, M=1)
+        header, rows = run(ExperimentConfig(
+            network=net, mode="sweep", sweep=type(cfg.sweep)("P_s", 1e2, 1e6, 3, "log")))
+        assert len(rows) == 3
+        for row in rows:
+            assert row[3:] == ["", ""]
+            assert float(row[1]) >= float(row[2]) - 1e-9
+
     def test_highsnr_row(self):
         cfg = bundled_presets()["fig5a"]
         header, rows = run(ExperimentConfig(network=cfg.network, mode="highsnr",
@@ -158,7 +166,7 @@ class TestCliProcess:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             r = _run_cli(["subset", "--preset", "example1", "--output", str(out),
-                          "--seed", "7"], env_extra={"ANC_THREADS": "1"})
+                          "--seed", "7"])
             assert r.returncode == 0, r.stderr
         assert a.read_bytes() == b.read_bytes()
 
@@ -236,31 +244,26 @@ class TestCliProcess:
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith("delta,")
 
-    def test_anc_threads_env(self, tmp_path):
-        out = tmp_path / "s.csv"
-        cfg = bundled_presets()["fig5a"].to_dict()
-        cfg["sweep"]["points"] = 6
-        cfg["sweep"]["from"] = 1e4
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(cfg), encoding="utf-8")
-        r = _run_cli(["sweep", "--config", str(p), "--output", str(out)],
-                     env_extra={"ANC_THREADS": "2"})
-        assert r.returncode == 0, r.stderr
-        assert len(out.read_text().splitlines()) == 7
+    @pytest.mark.parametrize("key, value", [
+        ("h_s", None), ("h_s", "abc"), ("h_s", [0.6]), ("h", 5), ("h", ["x"]),
+        ("h_t", {}), ("h_e", [0.2, None, 0.4]), ("P_s", "five"), ("P", [5.0, 5.0, 5.0]),
+        ("P", [["a", 5.0, 5.0]]), ("sigma2", None)])
+    def test_exit_1_non_numeric_value_names_key(self, tmp_path, capsys, key, value):
+        bad = json.loads(json.dumps(EXAMPLE1_DICT))
+        bad["network"][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 1
+        assert f"network.{key}:" in capsys.readouterr().err
 
-    def test_sweep_output_independent_of_worker_count(self, tmp_path):
-        # rows are buffered in input order, so scheduling cannot leak into
-        # the CSV bytes
-        cfg = bundled_presets()["fig5b"].to_dict()
-        cfg["sweep"]["points"] = 8
-        cfg["sweep"]["from"] = 1e3
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(cfg), encoding="utf-8")
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.csv"
-            r = _run_cli(["sweep", "--config", str(p), "--output", str(out)],
-                         env_extra={"ANC_THREADS": threads})
-            assert r.returncode == 0, r.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.csv")))
+def test_golden_csv(tmp_path, name):
+    # every preset and mode that succeeds; the files pin the output bytes
+    preset, mode = name.split("_")
+    out = tmp_path / "out.csv"
+    assert main([mode, "--preset", preset, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

@@ -98,6 +98,17 @@ class TestCutset:
         assert cutset_bound(FIG5A) == pytest.approx(
             0.5 * math.log2(83.418 / 2.922), rel=1e-12)
 
+    def test_clamped_at_zero_when_eavesdropper_is_stronger(self):
+        net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.7, h=(0.6,),
+                             h_t=0.1, h_e=0.3, M=2, P_s=10, P=10, sigma2=1)
+        assert cutset_bound(net) == 0.0
+
+    def test_requires_last_layer_snooped(self):
+        net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.7, h=(0.6,),
+                             h_t=0.4, h_e=0.1, M=1, P_s=10, P=10, sigma2=1)
+        with pytest.raises(ValueError, match="M = L"):
+            cutset_bound(net)
+
     def test_no_eavesdropper(self):
         net = LayeredNetwork(L=1, nodes_per_layer=(2,), h_s=0.7, h=(), h_t=0.4,
                              h_e=0.0, M=1, P_s=10, P=10, sigma2=1)

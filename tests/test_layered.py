@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from anc_secrecy import (
-    DegenerateNetworkError,
     LayeredNetwork,
     SearchConfig,
     beta_max_vector,
@@ -61,9 +60,8 @@ class TestExtraction:
             assert snr_e == pytest.approx(direct.snr_e, rel=1e-10, abs=1e-13)
 
     def test_reconstruction_single_node_layers(self):
-        # a one-node layer M cannot separate (sum beta)^2 from sum beta^2,
-        # so extraction probes a two-node widening; the result must still
-        # reproduce the real network's destination SNR
+        # with one node in layer M, (sum beta)^2 and sum beta^2 coincide;
+        # the coefficients must still reproduce the real network's SNRs
         rng = np.random.default_rng(13)
         for _ in range(20):
             net = random_ecgal(rng, L_max=3, N_max=1)
@@ -113,11 +111,18 @@ class TestExtraction:
         assert sol.clipped
         assert sol.beta_opt == pytest.approx(0.8294871274138641, rel=1e-12)
 
-    def test_dead_layer_M_gain_is_degenerate(self):
+    def test_dead_layer_M_gain_silences_layer_M(self):
+        # nothing layer M sends reaches the destination, so the sign
+        # condition fails, layer M stays silent and the rate is zero, as the
+        # search finds
         net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.5, h=(0.0,),
                              h_t=0.4, h_e=0.2, M=1, P_s=4, P=4, sigma2=1)
-        with pytest.raises(DegenerateNetworkError):
-            extract_coefficients(net)
+        sol = optimal_scaling(net)
+        assert not sol.layer_m.sign_positive
+        assert sol.beta.beta[0] == (0.0, 0.0)
+        res = maximize_secrecy(net, cfg=SearchConfig(restarts=6, seed=0))
+        assert sol.rate.r_s == 0.0
+        assert res.rate.r_s == 0.0
 
     def test_nonnegative_compounds(self):
         rng = np.random.default_rng(3)
