@@ -19,7 +19,7 @@ import numpy as np
 
 from .diamond import best_snoop_subset
 from .highsnr import cutset_bound, high_snr_report
-from .layered import optimal_scaling
+from .layered import closed_form_applies, optimal_scaling
 from .network import LayeredNetwork, RegimeViolationError, beta_max_vector, rates
 from .oracle import SearchConfig, maximize_secrecy
 
@@ -94,8 +94,9 @@ class ExperimentConfig:
             sweep = _sweep_from_dict(data["sweep"])
         delta = data.get("delta")
         return cls(network=net, mode=str(data["mode"]), sweep=sweep,
-                   delta=None if delta is None else float(delta),
-                   output=data.get("output"), seed=int(data.get("seed", 0)))
+                   delta=None if delta is None else _number("delta", delta),
+                   output=data.get("output"),
+                   seed=_number("seed", data.get("seed", 0), integer=True))
 
     def to_dict(self) -> dict:
         net = self.network
@@ -135,42 +136,44 @@ def _network_from_dict(data: dict) -> LayeredNetwork:
     for key in ("L", "h_s", "h_t", "h_e", "M", "P_s", "P", "sigma2"):
         if key not in data:
             raise ConfigError(f"network.{key}: missing")
-    L = _int_value("L", data["L"])
+    L = _number("network.L", data["L"], integer=True)
     if "nodes_per_layer" in data:
-        nodes = tuple(_int_value("nodes_per_layer", x) for x in data["nodes_per_layer"])
+        nodes = _number("network.nodes_per_layer", data["nodes_per_layer"], depth=1,
+                        integer=True)
     elif "N" in data:
-        nodes = (_int_value("N", data["N"]),) * L
+        nodes = (_number("network.N", data["N"], integer=True),) * L
     else:
         raise ConfigError("network.nodes_per_layer: missing (or give N)")
     values = dict(
-        L=L, nodes_per_layer=nodes, M=_int_value("M", data["M"]),
-        h=_float_value("h", data.get("h", []), depth=1),
-        h_e=_float_value("h_e", data["h_e"], depth=isinstance(data["h_e"], (list, tuple))),
-        P=_float_value("P", data["P"], depth=2 * isinstance(data["P"], (list, tuple))),
-        **{key: _float_value(key, data[key]) for key in ("h_s", "h_t", "P_s", "sigma2")})
+        L=L, nodes_per_layer=nodes, M=_number("network.M", data["M"], integer=True),
+        h=_number("network.h", data.get("h", []), depth=1),
+        h_e=_number("network.h_e", data["h_e"], depth=isinstance(data["h_e"], (list, tuple))),
+        P=_number("network.P", data["P"], depth=2 * isinstance(data["P"], (list, tuple))),
+        **{key: _number(f"network.{key}", data[key]) for key in ("h_s", "h_t", "P_s", "sigma2")})
     try:
         return LayeredNetwork(**values)
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
 
-def _int_value(key: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"network.{key}: must be an integer, got {value!r}") from exc
-
-
-def _float_value(key: str, value, depth: int = 0):
-    """A number, or lists of numbers nested `depth` deep, as floats."""
+def _number(key: str, value, depth: int = 0, integer: bool = False):
+    """A number, or lists of numbers nested `depth` deep, as floats, or as
+    ints when `integer` (integral values such as 2.0 only). Errors name the
+    dotted config key."""
     if depth:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"network.{key}: must be a list, got {value!r}")
-        return tuple(_float_value(key, v, depth - 1) for v in value)
+            raise ConfigError(f"{key}: must be a list, got {value!r}")
+        return tuple(_number(key, v, depth - 1, integer) for v in value)
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"network.{key}: must be a number, got {value!r}") from exc
+        raise ConfigError(f"{key}: must be a number, got {value!r}") from exc
+    if not integer:
+        return out
+    if not out.is_integer():
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    # a JSON integer stays exact, also beyond float precision
+    return int(value) if isinstance(value, int) else int(out)
 
 
 def _sweep_from_dict(data: dict) -> SweepSpec:
@@ -183,8 +186,10 @@ def _sweep_from_dict(data: dict) -> SweepSpec:
         if key not in data:
             raise ConfigError(f"sweep.{key}: missing")
     return SweepSpec(variable=data.get("variable", "P_s"),
-                     start=float(data["from"]), stop=float(data["to"]),
-                     points=int(data["points"]), scale=data.get("scale", "log"))
+                     start=_number("sweep.from", data["from"]),
+                     stop=_number("sweep.to", data["to"]),
+                     points=_number("sweep.points", data["points"], integer=True),
+                     scale=data.get("scale", "log"))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -247,14 +252,9 @@ def _beta_columns(net: LayeredNetwork) -> list[str]:
             for n in range(net.nodes_per_layer[l])]
 
 
-def _closed_form_applies(net: LayeredNetwork) -> bool:
-    return (net.uniform_N is not None and net.common_h_e is not None
-            and len(set(net.layer_power(net.M - 1).tolist())) == 1)
-
-
 def run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     net = cfg.network
-    if _closed_form_applies(net):
+    if closed_form_applies(net):
         sol = optimal_scaling(net)
         beta, report = sol.beta, sol.rate
     else:

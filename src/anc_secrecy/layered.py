@@ -13,7 +13,9 @@ E and F come from the upstream propagation; A = alpha*E, B = lam*E + mu*F,
 C = mu and D = nu from a backward recursion over the full-power layers
 (see `extract_coefficients`). The common optimal beta_M then solves a
 quadratic in beta_M^2 whose coefficients generalize the printed two-node
-form to any N.
+form to any N. They are computed from terms of known sign, so whenever the
+lemma's sign condition holds the quadratic has cal_A < 0 < cal_C in floating
+point too, and the closed form answers for every network it applies to.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from .network import (
     Cascade,
-    DegenerateNetworkError,
     LayeredNetwork,
     RateReport,
     ScalingVector,
@@ -66,29 +67,30 @@ class LayerMSolution:
     beta_glb: float
     clipped: bool
     sign_positive: bool
-    needs_oracle: bool = False
-    diagnostics: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class LayeredSolution:
+    """diagnostics is always empty; it is kept for the benchmark tracer."""
+
     beta: ScalingVector
     rate: RateReport
-    layer_m: LayerMSolution | None
+    layer_m: LayerMSolution
     diagnostics: tuple[str, ...] = ()
 
 
+def closed_form_applies(net: LayeredNetwork) -> bool:
+    """Whether the lemma covers net: uniform layer width, common eavesdropper
+    gain and a uniform power cap on layer M."""
+    return (net.uniform_N is not None and net.common_h_e is not None
+            and len(set(net.layer_power(net.M - 1).tolist())) == 1)
+
+
 def _require_lemma_network(net: LayeredNetwork) -> tuple[int, float]:
-    n = net.uniform_N
-    if n is None:
-        raise ValueError("closed-form layered optimizer requires a uniform layer width")
-    he = net.common_h_e
-    if he is None:
-        raise ValueError("closed-form layered optimizer requires a common eavesdropper gain")
-    p_m = net.layer_power(net.M - 1)
-    if len(set(p_m.tolist())) != 1:
-        raise ValueError("layer M must have a uniform power cap")
-    return n, he
+    if not closed_form_applies(net):
+        raise ValueError("closed-form layered optimizer requires a uniform layer width, "
+                         "a common eavesdropper gain and a uniform power cap on layer M")
+    return net.uniform_N, net.common_h_e
 
 
 def extract_coefficients(net: LayeredNetwork, beta_upstream=None) -> CoefficientSet:
@@ -109,7 +111,13 @@ def extract_coefficients(net: LayeredNetwork, beta_upstream=None) -> Coefficient
 
 
 def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> CoefficientSet:
-    """The coefficients with layers 1..M-1 sending as in the cascade c."""
+    """The coefficients with layers 1..M-1 sending as in the cascade c.
+
+    The stationary quadratic (in beta_M^2) is built from terms of known sign,
+    sign = h_M^2 alpha - h_e^2 nu and slack = n lam E + t excess >= 0, with
+    t = nF + 1 and excess = mu - alpha stepped beside d2 as excess a + d3.
+    So sign > 0 gives cal_A < 0 < cal_C in floating point too.
+    """
     # the source-side compounds: sig_M = P_s E and fwd_M = sigma2 F
     e_val, f_val = net.h_s ** 2, 0.0
     for l in range(net.M - 1):
@@ -117,8 +125,6 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         e_val *= c.s_sum[l] * g
         f_val = (f_val * c.s_sum[l] + c.q_sum[l]) * g
     e_val, f_val = float(e_val), float(f_val)
-    if e_val <= 0:
-        raise DegenerateNetworkError("dead source path into layer M")
     s2 = net.sigma2
     rho = net.P_s / s2
     downstream = []
@@ -127,34 +133,22 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         g = net.gain_out(l) ** 2
         downstream.append((float(np.sqrt(p).sum()) ** 2 * g, float(p.sum()) * g))
     alpha = math.prod((a for a, _ in downstream), start=1.0)
-    d1, d2, d3 = 0.0, 1.0, s2
+    d1, d2, d3, excess = 0.0, 1.0, s2, 0.0
     for a, q in reversed(downstream):
-        d1, d2, d3 = d1 * a + d3, d2 * a + d3, s2 * (d2 * q + d3)
+        d1, d2, d3, excess = d1 * a + d3, d2 * a + d3, s2 * (d2 * q + d3), excess * a + d3
     lam, mu, nu = rho * d1, d2, d3 / s2
 
-    h_m2 = net.gain_out(net.M - 1) ** 2
-    cal_a, cal_b, cal_c = _stationary_coefficients(
-        n=n, rho=rho, h_m2=h_m2, he2=he ** 2,
-        E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu)
+    h_m2, he2 = net.gain_out(net.M - 1) ** 2, he ** 2
+    t = n * f_val + 1.0
+    sign = h_m2 * alpha - he2 * nu
+    slack = n * lam * e_val + t * excess
+    cal_a = -n ** 2 * h_m2 * he2 * (
+        alpha * t * (t + n * rho * e_val) * sign
+        + h_m2 * slack * (n * lam * e_val + t * (mu + alpha) + n * rho * alpha * e_val))
     return CoefficientSet(E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu,
                           A=alpha * e_val, B=lam * e_val + mu * f_val, C=mu, D=nu,
-                          cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
-
-
-def _stationary_coefficients(n, rho, h_m2, he2, E, F, alpha, lam, mu, nu):
-    """Quadratic (in beta_M^2) whose positive root is the interior optimum.
-
-    Written for general layer width n; at n = 2 the (n F + 1) factors
-    collapse to the two-node (2F+1) form.
-    """
-    t = n * F + 1.0
-    cal_c = nu * (h_m2 * alpha - he2 * nu)
-    cal_b = 2.0 * n * nu * h_m2 * he2 * ((alpha - mu) * t - n * lam * E)
-    cal_a = n ** 2 * h_m2 * he2 * (
-        he2 * alpha * nu * t * (t + n * rho * E)
-        - h_m2 * (n * lam * E + t * mu) * (t * mu + n * (lam + rho * alpha) * E)
-    )
-    return cal_a, cal_b, cal_c
+                          cal_A=cal_a, cal_B=-2.0 * n * nu * h_m2 * he2 * slack,
+                          cal_C=nu * sign)
 
 
 def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float, rho: float,
@@ -177,33 +171,22 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
     beta_glb^2 = (|B|/2|A|)(sqrt(1 + 4|A|C/B^2) - 1) in the quadratic's
     coefficients, clipped at beta_M_max; otherwise zero is optimal. The
     rationalized form 2C / (|B| + sqrt(B^2 + 4|A|C)) is used, which is the
-    same root and covers the B = 0 and A = 0 degeneracies without branching.
+    same root and covers B = 0. The sign condition gives cal_A < 0 < cal_C
+    (see `_coefficients`), so the root always exists; its denominator is zero
+    only without an eavesdropper (h_e = 0), where beta_glb = inf and beta_M
+    clips to its bound.
     """
     sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
     if sign <= 0:
         return LayerMSolution(beta_opt=0.0, beta_glb=0.0, clipped=False,
                               sign_positive=False)
     cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
-    diagnostics: list[str] = []
-    if cal_a > 0 or cal_c <= 0:
-        # the sign condition is supposed to force cal_A < 0 < cal_C
-        diagnostics.append(
-            f"unexpected stationary-coefficient signs: cal_A={cal_a:.3e}, cal_C={cal_c:.3e}")
-        if cal_a >= 0 and cal_b == 0:
-            return LayerMSolution(beta_opt=beta_M_max, beta_glb=math.nan,
-                                  clipped=True, sign_positive=True,
-                                  needs_oracle=True, diagnostics=tuple(diagnostics))
-    if cal_a == 0 and cal_b == 0:
-        return LayerMSolution(beta_opt=beta_M_max, beta_glb=math.nan, clipped=True,
-                              sign_positive=True, needs_oracle=True,
-                              diagnostics=("degenerate stationarity: cal_A = cal_B = 0",))
-    disc = math.sqrt(max(cal_b ** 2 + 4.0 * abs(cal_a) * cal_c, 0.0))
-    x = 2.0 * cal_c / (abs(cal_b) + disc)
-    beta_glb = math.sqrt(max(x, 0.0))
+    denom = abs(cal_b) + math.sqrt(cal_b ** 2 + 4.0 * abs(cal_a) * cal_c)
+    beta_glb = math.sqrt(2.0 * cal_c / denom) if denom else math.inf
     clipped = beta_glb >= beta_M_max * (1 - 1e-12)
     beta_opt = min(beta_M_max, beta_glb)
     return LayerMSolution(beta_opt=beta_opt, beta_glb=beta_glb, clipped=clipped,
-                          sign_positive=True, diagnostics=tuple(diagnostics))
+                          sign_positive=True)
 
 
 def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
@@ -212,25 +195,13 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
     Layers 1..M-1 and M+1..L transmit at maximum power; layer M uses the
     closed-form common optimum. All bounds cascade front-to-back from the
     actual upstream values, so downstream layers still reach full power when
-    layer M backs off. h_e = 0 means no eavesdropper: everything at max.
+    layer M backs off. h_e = 0 (no eavesdropper) clips layer M to its bound,
+    so everything sends at max; a dead path into layer M gives r_s = 0.
     """
     n, he = _require_lemma_network(net)
     allmax = cascade(net, lambda l, bmax: bmax)
-    if he == 0.0:
-        sv = allmax.scaling()
-        return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=None,
-                               diagnostics=("no eavesdropper: all layers at max",))
-
     m = net.M - 1
     sol_m = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
                          float(allmax.bounds[m][0]))
-    if sol_m.needs_oracle:
-        from .oracle import SearchConfig, maximize_secrecy
-        res = maximize_secrecy(net, cfg=SearchConfig(restarts=8))
-        return LayeredSolution(beta=res.beta, rate=res.rate, layer_m=sol_m,
-                               diagnostics=sol_m.diagnostics
-                               + ("layer-M optimum from search fallback",))
-
     sv = max_scaling_with_layer(net, m, sol_m.beta_opt)
-    return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=sol_m,
-                           diagnostics=sol_m.diagnostics)
+    return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=sol_m)

@@ -20,7 +20,7 @@ import numpy as np
 
 class DegenerateNetworkError(ValueError):
     """Raised when a quantity is undefined for the given network (zero
-    received power, dead source-destination path in a closed-form solver)."""
+    received power)."""
 
 
 class RegimeViolationError(ValueError):
@@ -41,10 +41,15 @@ def _as_float_tuple(values) -> tuple[float, ...]:
 
 
 def _as_int(key: str, value) -> int:
+    """value as an int; integral floats such as 2.0 pass, 1.9 does not."""
     try:
-        return int(value)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{key} must be a finite integer, got {value!r}") from exc
+        out = int(value)
+        integral = out == value
+    except (ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{key} must be a finite integer, got {value!r}")
+    return out
 
 
 def _all_finite(value) -> bool:

@@ -256,6 +256,29 @@ class TestCliProcess:
         assert main(["solve", "--config", str(p)]) == 1
         assert f"network.{key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sweep.from", None), ("sweep.to", "x"), ("sweep.points", "x"), ("delta", "x"),
+        ("seed", "x"), ("network.nodes_per_layer", 5), ("network.M", 1.9),
+        ("network.N", 2.5), ("sweep.points", 2.7)])
+    def test_exit_1_bad_value_names_dotted_key(self, tmp_path, capsys, key, value):
+        bad = json.loads(json.dumps(EXAMPLE1_DICT))
+        bad["sweep"] = {"from": 1.0, "to": 10.0, "points": 3}
+        *parents, leaf = key.split(".")
+        target = bad[parents[0]] if parents else bad
+        target[leaf] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 1
+        assert f"{key}:" in capsys.readouterr().err
+
+    def test_integral_floats_accepted_for_integer_keys(self):
+        d = json.loads(json.dumps(EXAMPLE1_DICT))
+        d["network"].update(L=1.0, N=3.0, M=1.0)
+        d["sweep"] = {"from": 1.0, "to": 10.0, "points": 3.0}
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.network.L, cfg.network.nodes_per_layer, cfg.network.M) == (1, (3,), 1)
+        assert cfg.sweep.points == 3
+
 
 GOLDEN = Path(__file__).parent / "data"
 

@@ -1,8 +1,13 @@
 """Layered closed form: coefficient extraction, stationary point, assembly."""
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anc_secrecy import (
+    ExperimentConfig,
     LayeredNetwork,
     SearchConfig,
     beta_max_vector,
@@ -15,10 +20,21 @@ from anc_secrecy import (
     rates,
     reduced_snrs,
 )
+from anc_secrecy.cli import main
 from conftest import random_ecgal, random_feasible_scaling
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
                        h_t=0.203, h_e=0.031, M=2, P_s=500.0, P=500.0, sigma2=1.0)
+
+
+def edge_draws(rng, count):
+    """Lemma-grade networks with M = L and h_e = h_t (1 - eps), eps
+    log-uniform in [1e-16, 1e-8]: the sign condition holds by a hair, where
+    a stationary quadratic written with differences of large terms cancels."""
+    for _ in range(count):
+        net = random_ecgal(rng)
+        eps = 10.0 ** rng.uniform(-16, -8)
+        yield replace(net, M=net.L, h_e=net.h_t * (1 - eps))
 
 
 class TestExtraction:
@@ -155,6 +171,28 @@ class TestLemmaBetaM:
                 assert co.cal_A < 0
                 assert co.cal_C > 0
         assert positives > 50  # the draw exercises the branch
+        for net in edge_draws(np.random.default_rng(18), 4000):
+            co = extract_coefficients(net)
+            if net.h_t ** 2 * co.alpha - net.common_h_e ** 2 * co.nu > 0:
+                assert co.cal_A < 0
+                assert co.cal_C > 0
+
+    def test_barely_positive_sign_gives_sign_free_root(self):
+        # at M = L, cal_B = 0 and the root does not depend on the sign:
+        # beta^2 = 1 / (n |h_t h_e| sqrt(t (t + n rho E))), t = nF + 1
+        checked = 0
+        for net in edge_draws(np.random.default_rng(19), 500):
+            sol = optimal_scaling(net)
+            if not sol.layer_m.sign_positive:
+                continue
+            checked += 1
+            co = extract_coefficients(net)
+            n, rho = net.uniform_N, net.P_s / net.sigma2
+            t = n * co.F + 1
+            root = 1 / math.sqrt(n * abs(net.h_t * net.common_h_e)
+                                 * math.sqrt(t * (t + n * rho * co.E)))
+            assert sol.layer_m.beta_glb == pytest.approx(root, rel=1e-12)
+        assert checked > 400
 
     def test_diamond_specialization_exact(self):
         # lemma path on L=1 equals the diamond closed form to machine precision
@@ -206,6 +244,23 @@ class TestOptimalScaling:
         sol = optimal_scaling(net)
         assert sol.beta.beta == beta_max_vector(net).beta
         assert sol.rate.snr_e == 0.0
+
+    @pytest.mark.parametrize("net", [
+        LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.0, h=(0.6,), h_t=0.5,
+                       h_e=0.2, M=2, P_s=4.0, P=4.0, sigma2=1.0),
+        LayeredNetwork(L=3, nodes_per_layer=(2, 2, 2), h_s=0.7, h=(0.0, 0.6), h_t=0.5,
+                       h_e=0.2, M=2, P_s=4.0, P=4.0, sigma2=1.0),
+    ], ids=["h_s", "h_1"])
+    def test_dead_path_into_layer_M_gives_zero_rate(self, tmp_path, net):
+        # nothing of the source reaches layer M, so every scaling has r_s = 0
+        sol = optimal_scaling(net)
+        res = maximize_secrecy(net, cfg=SearchConfig(restarts=6, seed=0))
+        assert sol.rate.r_s == 0.0
+        assert res.rate.r_s == 0.0
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(ExperimentConfig(network=net, mode="solve").to_dict()),
+                        encoding="utf-8")
+        assert main(["solve", "--config", str(path)]) == 0
 
     def test_rejects_ragged_widths(self):
         net = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.7, h=(0.6,),

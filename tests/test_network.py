@@ -74,6 +74,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{key} must be a finite integer"):
             LayeredNetwork(**params)
 
+    @pytest.mark.parametrize("key", ["L", "M", "nodes_per_layer"])
+    def test_rejects_non_integral_integers(self, key):
+        # int() would truncate these to a valid, different network
+        params = dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4, h_e=0.2,
+                      M=2, P_s=5.0, P=5.0, sigma2=1.0)
+        params[key] = (2.5, 2) if key == "nodes_per_layer" else 2.5
+        with pytest.raises(ValueError, match=rf"^{key} must be a finite integer"):
+            LayeredNetwork(**params)
+        params[key] = (2.0, 2) if key == "nodes_per_layer" else 2.0
+        net = LayeredNetwork(**params)
+        assert (net.L, net.M, net.nodes_per_layer) == (2, 2, (2, 2))
+
 
 class TestBetaMax:
     def test_example1_value(self):
