@@ -6,7 +6,6 @@ symmetric diamond and equal-gain layered networks, high-SNR cutset-gap
 analysis, and a brute-force search oracle that validates every closed form.
 """
 from .network import (
-    DegenerateNetworkError,
     LayeredNetwork,
     PowerFlow,
     RateReport,
@@ -57,7 +56,6 @@ from .cli import ExperimentConfig, SweepSpec, bundled_presets
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateNetworkError",
     "LayeredNetwork",
     "PowerFlow",
     "RateReport",

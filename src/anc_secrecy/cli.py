@@ -76,6 +76,10 @@ class ExperimentConfig:
             raise ConfigError("sweep: required for sweep mode")
         if self.mode == "highsnr" and self.delta is None:
             raise ConfigError("delta: required for highsnr mode")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output: must be a path string, got {self.output!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

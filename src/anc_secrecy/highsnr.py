@@ -33,7 +33,6 @@ class HighSnrReport:
     r_s_delta: float
     actual_gap: float
     gap_bound: float
-    noise_bound: float
 
 
 def _uniform(net: LayeredNetwork) -> tuple[int, float]:
@@ -42,6 +41,16 @@ def _uniform(net: LayeredNetwork) -> tuple[int, float]:
     if n is None or p is None:
         raise ValueError("high-SNR formulas require uniform layer width and power cap")
     return n, p
+
+
+def _last_layer_he(net: LayeredNetwork) -> float:
+    """The common eavesdropper gain, on the last layer: the cut and the
+    high-SNR formulas hold only there."""
+    he = net.common_h_e
+    if he is None or net.M != net.L:
+        raise ValueError("high-SNR formulas require a common eavesdropper gain "
+                         "on the last layer (M = L)")
+    return he
 
 
 def _delta_betas(net: LayeredNetwork, delta: float) -> list[float]:
@@ -93,11 +102,7 @@ def cutset_bound(net: LayeredNetwork) -> float:
         C_cut = max(0, 1/2 log2((1 + P_t/sigma2) / (1 + P_e/sigma2))),
         P_t = N^2 P h_t^2,  P_e = N^2 P h_e^2.
     """
-    he = net.common_h_e
-    if he is None:
-        raise ValueError("cutset bound requires a common eavesdropper gain")
-    if net.M != net.L:
-        raise ValueError("cutset bound assumes the last layer is snooped (M = L)")
+    he = _last_layer_he(net)
     coherent = float(np.sqrt(net.layer_power(net.L - 1)).sum()) ** 2
     p_t = coherent * net.h_t ** 2
     p_e = coherent * he ** 2
@@ -115,11 +120,7 @@ def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
     Requires the eavesdropper on the last layer (M = L).
     """
     n, p = _uniform(net)
-    he = net.common_h_e
-    if he is None:
-        raise ValueError("high-SNR achievability requires a common eavesdropper gain")
-    if net.M != net.L:
-        raise ValueError("high-SNR achievability assumes the last layer is snooped (M = L)")
+    he = _last_layer_he(net)
     if net.h_t == 0:
         raise ValueError("dead destination gain (h_t = 0)")
     betas = _delta_betas(net, delta)
@@ -154,15 +155,13 @@ def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
 
 def gap_bound(net: LayeredNetwork, delta: float) -> float:
     """Analytic bound on C_cut minus the delta-scaled achievable secrecy
-    rate, valid for L*delta < 1:
+    rate, valid for L*delta < 1 with the last layer snooped (M = L):
 
         1/2 log2[ (1/(1-L delta)) (1 + L delta N P h_t^2/sigma2)
                                 / (1 + L delta N P h_e^2/sigma2) ].
     """
     n, p = _uniform(net)
-    he = net.common_h_e
-    if he is None:
-        raise ValueError("gap bound requires a common eavesdropper gain")
+    he = _last_layer_he(net)
     ld = net.L * delta
     if ld >= 1.0:
         raise ValueError(f"L*delta = {ld:.6g} >= 1: the bound is vacuous")
@@ -180,8 +179,7 @@ def high_snr_report(net: LayeredNetwork, delta: float) -> HighSnrReport:
     r_s = achievable_highsnr(net, delta).r_s
     return HighSnrReport(delta=delta, c_cut=c_cut, r_s_delta=r_s,
                          actual_gap=c_cut - r_s,
-                         gap_bound=gap_bound(net, delta),
-                         noise_bound=noise_power_bound(net, delta))
+                         gap_bound=gap_bound(net, delta))
 
 
 def plateau_index(values, rel_slope: float = 1e-4) -> int | None:

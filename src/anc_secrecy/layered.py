@@ -1,6 +1,8 @@
-"""Globally optimal scaling for uniform-N layered networks with equal
-per-hop gains: upstream layers at maximum power, the snooped layer from a
-closed-form stationary point, downstream layers at maximum power.
+"""Globally optimal scaling for the lemma's layered networks, those with
+equal per-hop gains, a common eavesdropper gain and one power cap within
+each layer (widths and caps may differ between layers): upstream layers at
+maximum power, the snooped layer from a closed-form stationary point,
+downstream layers at maximum power.
 
 With layers M+1..L transmitting at full power (their bounds adapt to
 whatever layer M sends), the destination SNR is exactly a ratio linear in
@@ -42,8 +44,8 @@ class CoefficientSet:
     E, F describe the source side at the given upstream scaling; alpha, lam,
     mu, nu the downstream compounds; A = alpha*E, B = lam*E + mu*F, C = mu,
     D = nu the destination-SNR coefficients; cal_A, cal_B, cal_C the
-    stationary-point quadratic coefficients (in beta_M^2) for the actual
-    layer width N.
+    stationary-point quadratic coefficients (in beta_M^2) for layer M's
+    width N.
     """
 
     E: float
@@ -80,34 +82,34 @@ class LayeredSolution:
 
 
 def closed_form_applies(net: LayeredNetwork) -> bool:
-    """Whether the lemma covers net: uniform layer width, common eavesdropper
-    gain and a uniform power cap on layer M."""
-    return (net.uniform_N is not None and net.common_h_e is not None
-            and len(set(net.layer_power(net.M - 1).tolist())) == 1)
+    """Whether the lemma covers net: a common eavesdropper gain and one power
+    cap within each layer. With unequal caps inside any layer, "every other
+    layer at maximum" is not optimal."""
+    return net.common_h_e is not None and (
+        isinstance(net.P, float) or all(len(set(row)) == 1 for row in net.P))
 
 
 def _require_lemma_network(net: LayeredNetwork) -> tuple[int, float]:
+    """Layer M's width and the common eavesdropper gain of a lemma network."""
     if not closed_form_applies(net):
-        raise ValueError("closed-form layered optimizer requires a uniform layer width, "
-                         "a common eavesdropper gain and a uniform power cap on layer M")
-    return net.uniform_N, net.common_h_e
+        raise ValueError("closed-form layered optimizer requires a common eavesdropper "
+                         "gain and one power cap within each layer")
+    return net.nodes_per_layer[net.M - 1], net.common_h_e
 
 
-def extract_coefficients(net: LayeredNetwork, beta_upstream=None) -> CoefficientSet:
+def extract_coefficients(net: LayeredNetwork) -> CoefficientSet:
     """The layer-M subproblem coefficients by an exact backward recursion.
 
-    Layers 1..M-1 use beta_upstream (their maxima when omitted), fixing E
-    and F. Up to the factor 1/rx, a full-power layer l > M maps (sig, fwd, 1)
-    linearly to (a sig, a fwd + sigma2 q, rx), with a = (sum sqrt P_l)^2 g_l
-    and q = (sum P_l) g_l. So the destination's noise plus sigma2 is a linear
+    Layers 1..M-1 send at their maxima, fixing E and F. Up to the factor
+    1/rx, a full-power layer l > M maps (sig, fwd, 1) linearly to
+    (a sig, a fwd + sigma2 q, rx), with a = (sum sqrt P_l)^2 g_l and
+    q = (sum P_l) g_l. So the destination's noise plus sigma2 is a linear
     form (d1, d2, d3) in the state leaving layer M: from (0, 1, sigma2), each
     layer L..M+1 steps it to (d1 a + d3, d2 a + d3, sigma2 (d2 q + d3)).
     Then alpha = prod a, lam = rho d1, mu = d2 and nu = d3 / sigma2.
     """
     n, he = _require_lemma_network(net)
-    m = net.M - 1
-    return _coefficients(net, n, he, cascade(
-        net, lambda l, bmax: bmax if beta_upstream is None or l >= m else beta_upstream[l]))
+    return _coefficients(net, n, he, cascade(net, lambda l, bmax: bmax))
 
 
 def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> CoefficientSet:

@@ -18,11 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 
-class DegenerateNetworkError(ValueError):
-    """Raised when a quantity is undefined for the given network (zero
-    received power)."""
-
-
 class RegimeViolationError(ValueError):
     """A relay layer's input SNR is below 1/delta, so the delta-scaled
     amplification is not feasible."""
@@ -252,8 +247,7 @@ class Cascade(NamedTuple):
 
     def scaling(self) -> ScalingVector:
         """The betas used, with their bounds, of a single-point cascade."""
-        return ScalingVector(beta=tuple(tuple(map(float, b)) for b in self.betas),
-                             beta_max=tuple(tuple(map(float, b)) for b in self.bounds))
+        return ScalingVector(beta=self.betas, beta_max=self.bounds)
 
 
 def cascade_layers(net: LayeredNetwork, policy):
@@ -297,10 +291,7 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
     Bounds are computed front-to-back with every upstream layer at its own
     maximum, starting from P_Rx,1 = P_s h_s^2 + sigma2.
     """
-    if not net.sigma2 > 0:
-        raise DegenerateNetworkError("sigma2 must be > 0")
-    rows = tuple(tuple(map(float, b)) for b in cascade(net, lambda l, bmax: bmax).bounds)
-    return ScalingVector(beta=rows, beta_max=rows)
+    return cascade(net, lambda l, bmax: bmax).scaling()
 
 
 def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
@@ -310,6 +301,18 @@ def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
                      noise_power=tuple(map(float, c.fwd[:-1])),
                      rx_power=tuple(float(s + f + net.sigma2) for s, f in zip(c.sig, c.fwd[:-1])),
                      dest_signal=float(c.sig[-1]), dest_noise=float(c.fwd[-1]))
+
+
+def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[int, ...]:
+    """The snooped layer-M nodes (0-based) as a sorted tuple without
+    repeats; None means the whole layer."""
+    n_m = net.nodes_per_layer[net.M - 1]
+    if snooped is None:
+        return tuple(range(n_m))
+    snoop = tuple(sorted(set(int(i) for i in snooped)))
+    if any(i < 0 or i >= n_m for i in snoop):
+        raise ValueError("snooped node index out of range for layer M")
+    return snoop
 
 
 def rates(net: LayeredNetwork, scaling: ScalingVector,
@@ -325,13 +328,7 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     snr_t = float(c.sig[-1] / (c.fwd[-1] + net.sigma2))
 
     m = net.M - 1
-    n_m = net.nodes_per_layer[m]
-    if snooped is None:
-        snoop = tuple(range(n_m))
-    else:
-        snoop = tuple(sorted(set(int(i) for i in snooped)))
-        if any(i < 0 or i >= n_m for i in snoop):
-            raise ValueError("snooped node index out of range for layer M")
+    snoop = _snooped_nodes(net, snooped)
     if not snoop:
         return RateReport.from_snrs(snr_t, 0.0)
 

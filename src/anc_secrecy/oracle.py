@@ -14,9 +14,17 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .network import LayeredNetwork, RateReport, ScalingVector, cascade, cascade_layers, rates
+from .network import (LayeredNetwork, RateReport, ScalingVector, _snooped_nodes, cascade,
+                      cascade_layers, rates)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps per line search; each line also evaluates its two
+# starting points
+_GOLDEN_STEPS = 28
+# coordinate-ascent cycles before a start is reported unconverged
+_MAX_CYCLES = 60
+# exhaustive-grid points per axis (step 0.01), cut until the grid fits the budget
+_GRID_POINTS = 101
 _GRID_BUDGET = 20_000
 _RANDOM_SCAN = 4_096
 # line-search abscissae: linear coverage plus a logarithmic tail toward 0,
@@ -32,15 +40,11 @@ _LOG_FAMILY = np.concatenate(([0.0], np.logspace(-7.0, 0.0, 22)))
 class SearchConfig:
     """Search knobs. Deterministic for a fixed seed."""
 
-    grid_step: float = 1e-2
     restarts: int = 64
     refine_tol: float = 1e-10
-    max_iters: int = 60
     seed: int = 0
 
     def __post_init__(self):
-        if not self.grid_step > 0:
-            raise ValueError("grid_step must be > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -188,12 +192,12 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(neg[cand], kind="stable")[:k]]
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 30) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -251,14 +255,13 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
                     return obj.value(obj.advance(ul, state, l, obj.L))
 
                 x_best, v_best = scan[j], row[j]
-                x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)],
-                                       iters=28)
+                x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
                 if v_g > v_best:
                     x_best, v_best = x_g, v_g
                 if v_best > best[k]:
                     best[k] = v_best
                     us[k][lo:hi] = x_best
-            evals += len(live) * (ns + 30)
+            evals += len(live) * (ns + _GOLDEN_STEPS + 2)
         still = []
         for k, b0 in zip(live, before):
             if best[k] - b0 < tol:
@@ -288,19 +291,12 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     dim = int(sum(net.nodes_per_layer))
     if dim > 16:
         raise ValueError("search dimension above 16 is unsupported")
-    m = net.M - 1
-    n_m = net.nodes_per_layer[m]
-    if snooped is None:
-        snoop = tuple(range(n_m))
-    else:
-        snoop = tuple(sorted(set(int(i) for i in snooped)))
-        if any(i < 0 or i >= n_m for i in snoop):
-            raise ValueError("snooped node index out of range")
+    snoop = _snooped_nodes(net, snooped)
 
     rng = np.random.default_rng(cfg.seed)
     cands = [np.ones((1, dim))]
     if dim <= 8:
-        per_dim = int(round(1.0 / cfg.grid_step)) + 1
+        per_dim = _GRID_POINTS
         while per_dim > 2 and per_dim ** dim > _GRID_BUDGET:
             per_dim -= 1
         axes = [np.linspace(0.0, 1.0, per_dim)] * dim
@@ -330,7 +326,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
     lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
     finals, evals, n_merged = _refine(_Objective(net, snoop), starts, lines,
-                                      cfg.max_iters, cfg.refine_tol)
+                                      _MAX_CYCLES, cfg.refine_tol)
     total_evals = int(U.shape[0]) + evals
 
     best_val = max(v for v, _, _ in finals)
@@ -364,7 +360,7 @@ def verify_against_closed_form(net: LayeredNetwork,
     from .diamond import diamond_opt
     from .layered import optimal_scaling
 
-    if net.L == 1 and net.common_h_e is not None:
+    if net.L == 1:
         sol = diamond_opt(net)
         kind = "diamond"
         rate_closed = sol.rate.r_s

@@ -197,18 +197,19 @@ class TestCliProcess:
 
     def test_exit_2_model_error(self, tmp_path):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))
-        bad["network"]["nodes_per_layer"] = [2, 3]  # ragged: no closed form
-        del bad["network"]["N"]
+        bad["network"]["N"] = 2
         bad["network"]["L"] = 2
         bad["network"]["h"] = [0.5]
         bad["network"]["M"] = 2
         bad["network"]["h_e"] = 0.1
+        bad["network"]["P"] = [[5.33, 30.5], [5.0, 5.0]]  # per-node caps off layer M
         bad["sweep"] = {"from": 1.0, "to": 100.0, "points": 3}
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad), encoding="utf-8")
         r = _run_cli(["sweep", "--config", str(p)])
-        # sweep requires the closed form, which rejects ragged widths
+        # sweep requires the closed form, which names the condition it lacks
         assert r.returncode == 2, r.stderr
+        assert "one power cap within each layer" in r.stderr
 
     @pytest.mark.parametrize("key, value", [("h_s", "NaN"), ("P", "Infinity"),
                                             ("sigma2", "-Infinity"), ("M", "NaN")])
@@ -258,8 +259,8 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("key, value", [
         ("sweep.from", None), ("sweep.to", "x"), ("sweep.points", "x"), ("delta", "x"),
-        ("seed", "x"), ("network.nodes_per_layer", 5), ("network.M", 1.9),
-        ("network.N", 2.5), ("sweep.points", 2.7)])
+        ("seed", "x"), ("seed", -3), ("output", 5), ("network.nodes_per_layer", 5),
+        ("network.M", 1.9), ("network.N", 2.5), ("sweep.points", 2.7)])
     def test_exit_1_bad_value_names_dotted_key(self, tmp_path, capsys, key, value):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))
         bad["sweep"] = {"from": 1.0, "to": 10.0, "points": 3}
@@ -270,6 +271,10 @@ class TestCliProcess:
         p.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["solve", "--config", str(p)]) == 1
         assert f"{key}:" in capsys.readouterr().err
+
+    def test_exit_1_negative_seed_flag(self, capsys):
+        assert main(["solve", "--preset", "example1", "--seed", "-1"]) == 1
+        assert "seed:" in capsys.readouterr().err
 
     def test_integral_floats_accepted_for_integer_keys(self):
         d = json.loads(json.dumps(EXAMPLE1_DICT))

@@ -162,9 +162,25 @@ class TestSnoopSubsets:
         assert analysis.symmetric_shortcut
         assert analysis.best_subset == (0, 1, 2)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            best_snoop_subset(EXAMPLE1, policy="nash")
+    def test_first_width_over_the_subset_limit_runs_no_oracle_call(self, monkeypatch):
+        # 2^9 - 1 = 511 subsets exceed the limit of 255 (2^8 - 1)
+        class OracleCalled(Exception):
+            pass
+
+        def oracle(*args, **kwargs):
+            raise OracleCalled
+
+        monkeypatch.setattr("anc_secrecy.diamond.maximize_secrecy", oracle)
+
+        def asymmetric(n):
+            return LayeredNetwork.diamond(N=n, h_s=0.6, h_t=0.3,
+                                          h_e=tuple(0.1 + 0.01 * i for i in range(n)),
+                                          P_s=5.0, P=5.0, sigma2=1.0)
+
+        with pytest.raises(OracleCalled):
+            best_snoop_subset(asymmetric(8))
+        with pytest.raises(ValueError, match="511 subsets exceeds the limit of 255"):
+            best_snoop_subset(asymmetric(9))
 
     def test_rejects_wide_asymmetric_enumeration(self):
         # 2^21 subsets: rejected unless the symmetric per-size shortcut applies

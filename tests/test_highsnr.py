@@ -1,5 +1,6 @@
 """Delta-scaled amplification, cutset bound, achievable rate, gap bound."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,11 @@ class TestGapBound:
     def test_vacuous_region_rejected(self):
         with pytest.raises(ValueError):
             gap_bound(FIG5A, 0.5)  # L*delta = 1
+
+    def test_requires_last_layer_snooped(self):
+        # the bound compares against the cut at the last layer
+        with pytest.raises(ValueError, match="M = L"):
+            gap_bound(replace(FIG5A, M=1), 0.005)
 
     def test_decreasing_to_zero(self):
         vals = [gap_bound(FIG5A, 10.0 ** -k) for k in range(2, 9)]

@@ -19,8 +19,11 @@ from anc_secrecy import (
     optimal_scaling,
     rates,
     reduced_snrs,
+    verify_against_closed_form,
 )
-from anc_secrecy.cli import main
+from anc_secrecy.cli import SweepSpec, main
+from anc_secrecy.layered import _coefficients, closed_form_applies
+from anc_secrecy.network import cascade
 from conftest import random_ecgal, random_feasible_scaling
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
@@ -35,6 +38,25 @@ def edge_draws(rng, count):
         net = random_ecgal(rng)
         eps = 10.0 ** rng.uniform(-16, -8)
         yield replace(net, M=net.L, h_e=net.h_t * (1 - eps))
+
+
+def capped_draw(rng, per_node_off_m: bool) -> LayeredNetwork:
+    """Criterion 4's gains on L 2-3 layers with a common h_e. By default the
+    widths are 1-3 and each layer has its own common cap; per_node_off_m
+    gives width 2 and two different caps on one layer other than M."""
+    L = int(rng.integers(2, 4))
+    M = int(rng.integers(1, L + 1))
+    nodes = (2,) * L if per_node_off_m else tuple(int(rng.integers(1, 4)) for _ in range(L))
+    caps = [(float(rng.uniform(0.1, 30.0)),) * n for n in nodes]
+    if per_node_off_m:
+        k = int(rng.choice([l for l in range(L) if l != M - 1]))
+        caps[k] = tuple(float(rng.uniform(0.1, 30.0)) for _ in range(2))
+    return LayeredNetwork(
+        L=L, nodes_per_layer=nodes, h_s=float(rng.uniform(0.05, 1.3)),
+        h=tuple(float(rng.uniform(0.05, 1.3)) for _ in range(L - 1)),
+        h_t=float(rng.uniform(0.05, 1.3)), h_e=float(rng.uniform(0.02, 1.0)), M=M,
+        P_s=float(rng.uniform(0.1, 30.0)), P=tuple(caps),
+        sigma2=float(rng.uniform(0.3, 2.0)))
 
 
 class TestExtraction:
@@ -262,10 +284,11 @@ class TestOptimalScaling:
                         encoding="utf-8")
         assert main(["solve", "--config", str(path)]) == 0
 
-    def test_rejects_ragged_widths(self):
-        net = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.7, h=(0.6,),
-                             h_t=0.5, h_e=0.1, M=2, P_s=10.0, P=10.0, sigma2=1.0)
-        with pytest.raises(ValueError):
+    def test_rejects_per_node_caps_off_layer_m(self):
+        net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.7, h=(0.6,),
+                             h_t=0.5, h_e=0.1, M=2, P_s=10.0,
+                             P=((5.33, 30.5), (10.0, 10.0)), sigma2=1.0)
+        with pytest.raises(ValueError, match="one power cap within each layer"):
             optimal_scaling(net)
 
     def test_stationarity_when_unclipped(self):
@@ -298,3 +321,50 @@ class TestOptimalScaling:
             for _ in range(500):
                 sv = random_feasible_scaling(rng, net)
                 assert rates(net, sv).r_s <= best + 1e-9
+
+
+class TestLemmaClass:
+    """The lemma covers a common h_e with one cap within each layer; widths
+    and caps may differ between layers. Criterion 4's restarts and
+    tolerance."""
+
+    CFG = SearchConfig(restarts=6, seed=2718)
+
+    def test_ragged_widths_with_per_layer_caps_match_the_oracle(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(60):
+            net = capped_draw(rng, per_node_off_m=False)
+            assert closed_form_applies(net)
+            rep = verify_against_closed_form(net, cfg=self.CFG)
+            assert rep.passed, (net, rep)
+
+    def test_per_node_caps_off_layer_m_go_to_the_search(self):
+        # every layer but M at its maximum is no longer optimal there: the
+        # search matches or beats that point, and beats it on some draws
+        rng = np.random.default_rng(4243)
+        beaten = 0
+        for _ in range(60):
+            net = capped_draw(rng, per_node_off_m=True)
+            assert not closed_form_applies(net)
+            m = net.M - 1
+            allmax = cascade(net, lambda l, bmax: bmax)
+            lemma = lemma_beta_M(
+                _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax),
+                net.gain_out(m), net.common_h_e, float(allmax.bounds[m][0]))
+            r_lemma = rates(net, max_scaling_with_layer(net, m, lemma.beta_opt)).r_s
+            r_search = maximize_secrecy(net, cfg=self.CFG).rate.r_s
+            tol = max(1e-4, 1e-4 * max(abs(r_lemma), abs(r_search)))
+            assert r_search >= r_lemma - tol, net
+            beaten += r_search > r_lemma + tol
+        assert beaten > 0
+
+    def test_sweep_accepts_ragged_widths_with_per_layer_caps(self, tmp_path):
+        rng = np.random.default_rng(4244)
+        for i in range(3):
+            net = capped_draw(rng, per_node_off_m=False)
+            cfg = ExperimentConfig(network=net, mode="sweep",
+                                   sweep=SweepSpec("P_s", 1.0, 1e9, 5, "log"))
+            path = tmp_path / f"ragged{i}.json"
+            path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+            assert main(["sweep", "--config", str(path),
+                         "--output", str(tmp_path / f"ragged{i}.csv")]) == 0

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anc_secrecy import (
-    DegenerateNetworkError,
     LayeredNetwork,
     RateReport,
     ScalingVector,
@@ -277,8 +276,8 @@ def test_scaling_consistency_against_path_enumeration():
 
 
 def test_degenerate_beta_max_guard():
-    # the received power always includes sigma2 > 0, so only a corrupted
-    # network can reach the guard; validation rejects sigma2 <= 0 upfront
-    with pytest.raises((ValueError, DegenerateNetworkError)):
+    # the received power always includes sigma2 > 0: validation rejects
+    # sigma2 <= 0 upfront
+    with pytest.raises(ValueError):
         LayeredNetwork.diamond(N=1, h_s=0.0, h_t=0.0, h_e=0.0, P_s=0, P=1,
                                sigma2=-1.0)

@@ -19,8 +19,6 @@ EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(grid_step=0.0)
-    with pytest.raises(ValueError):
         SearchConfig(restarts=0)
 
 
