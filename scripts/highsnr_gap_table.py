@@ -11,7 +11,7 @@ def main() -> None:
     for name in ("fig5a", "fig5b"):
         net = bundled_presets()[name].network
         print(f"\n{name}: h_s={net.h_s}, h_1={net.h[0]}, h_t={net.h_t}, "
-              f"h_e={net.h_e}, N={net.uniform_N}, P={net.uniform_P}")
+              f"h_e={net.common_h_e}, N={net.uniform_N}, P={net.uniform_P}")
         print(f"{'delta':>9} {'C_cut':>9} {'R_s(delta)':>11} "
               f"{'actual gap':>11} {'gap bound':>10}")
         for delta in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0001):

@@ -111,10 +111,10 @@ class ExperimentConfig:
                 "h_s": net.h_s,
                 "h": list(net.h),
                 "h_t": net.h_t,
-                "h_e": list(net.h_e) if isinstance(net.h_e, tuple) else net.h_e,
+                "h_e": list(net.h_e),
                 "M": net.M,
                 "P_s": net.P_s,
-                "P": [list(r) for r in net.P] if isinstance(net.P, tuple) else net.P,
+                "P": [list(r) for r in net.P],
                 "sigma2": net.sigma2,
             },
             "mode": self.mode,
@@ -168,6 +168,8 @@ def _number(key: str, value, depth: int = 0, integer: bool = False):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: must be a list, got {value!r}")
         return tuple(_number(key, v, depth - 1, integer) for v in value)
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -244,10 +246,6 @@ def bundled_presets() -> dict[str, ExperimentConfig]:
 # mode implementations
 # ---------------------------------------------------------------------------
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.9g}"
 
 

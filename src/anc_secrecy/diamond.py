@@ -112,7 +112,7 @@ def best_snoop_subset(net: LayeredNetwork, cfg: SearchConfig | None = None) -> S
     """
     cfg = cfg or SearchConfig()
     n_m = net.nodes_per_layer[net.M - 1]
-    symmetric = net.common_h_e is not None and net.uniform_P is not None
+    symmetric = len(set(net.h_e)) == 1 and len(set(net.P[net.M - 1])) == 1
     count = n_m if symmetric else 2 ** n_m - 1
     if count > _MAX_SNOOP_SUBSETS:
         raise ValueError(f"snoop enumeration of {count} subsets exceeds the limit of "

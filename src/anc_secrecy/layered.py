@@ -85,8 +85,7 @@ def closed_form_applies(net: LayeredNetwork) -> bool:
     """Whether the lemma covers net: a common eavesdropper gain and one power
     cap within each layer. With unequal caps inside any layer, "every other
     layer at maximum" is not optimal."""
-    return net.common_h_e is not None and (
-        isinstance(net.P, float) or all(len(set(row)) == 1 for row in net.P))
+    return net.common_h_e is not None and all(len(set(row)) == 1 for row in net.P)
 
 
 def _require_lemma_network(net: LayeredNetwork) -> tuple[int, float]:

@@ -60,10 +60,11 @@ class LayeredNetwork:
 
     L relay layers with nodes_per_layer[l] nodes each. h_s is the
     source-to-layer-1 gain, h[i] the gain from layer i+1 to layer i+2
-    (len L-1), h_t the last-layer-to-destination gain, and h_e the gain from
-    the snooped layer M (1-based) to the eavesdropper, either a scalar or
-    one value per node of layer M. P is the per-relay transmit power cap,
-    either a scalar or a nested per-layer/per-node structure.
+    (len L-1), h_t the last-layer-to-destination gain, and h_e the gains from
+    the nodes of the snooped layer M (1-based) to the eavesdropper. P holds
+    the per-relay transmit power caps, one row per layer. h_e and P are
+    accepted as a scalar or per node; they are stored per node, so a network
+    built with a scalar equals the one built with its expansion.
     """
 
     L: int
@@ -71,10 +72,10 @@ class LayeredNetwork:
     h_s: float
     h: tuple[float, ...]
     h_t: float
-    h_e: float | tuple[float, ...]
+    h_e: tuple[float, ...]
     M: int
     P_s: float
-    P: float | tuple[tuple[float, ...], ...]
+    P: tuple[tuple[float, ...], ...]
     sigma2: float
 
     def __post_init__(self):
@@ -82,23 +83,6 @@ class LayeredNetwork:
         object.__setattr__(self, "M", _as_int("M", self.M))
         object.__setattr__(self, "nodes_per_layer",
                            tuple(_as_int("nodes_per_layer", n) for n in self.nodes_per_layer))
-        object.__setattr__(self, "h_s", float(self.h_s))
-        object.__setattr__(self, "h", _as_float_tuple(self.h))
-        object.__setattr__(self, "h_t", float(self.h_t))
-        object.__setattr__(self, "P_s", float(self.P_s))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if isinstance(self.h_e, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "h_e", _as_float_tuple(self.h_e))
-        else:
-            object.__setattr__(self, "h_e", float(self.h_e))
-        if isinstance(self.P, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "P", tuple(_as_float_tuple(row) for row in self.P))
-        else:
-            object.__setattr__(self, "P", float(self.P))
-        for key in ("h_s", "h", "h_t", "h_e", "P_s", "P", "sigma2"):
-            if not _all_finite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
-
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if len(self.nodes_per_layer) != self.L:
@@ -107,23 +91,38 @@ class LayeredNetwork:
             raise ValueError("every layer needs at least one node")
         if not 1 <= self.M <= self.L:
             raise ValueError("M must be in 1..L")
+        # a scalar h_e or P is stored per node, so every reader sees one form
+        h_e, P = self.h_e, self.P
+        if not isinstance(h_e, (tuple, list, np.ndarray)):
+            h_e = (h_e,) * self.nodes_per_layer[self.M - 1]
+        if not isinstance(P, (tuple, list, np.ndarray)):
+            P = [(P,) * n for n in self.nodes_per_layer]
+        object.__setattr__(self, "h_s", float(self.h_s))
+        object.__setattr__(self, "h", _as_float_tuple(self.h))
+        object.__setattr__(self, "h_t", float(self.h_t))
+        object.__setattr__(self, "h_e", _as_float_tuple(h_e))
+        object.__setattr__(self, "P_s", float(self.P_s))
+        object.__setattr__(self, "P", tuple(_as_float_tuple(row) for row in P))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
+        for key in ("h_s", "h", "h_t", "h_e", "P_s", "P", "sigma2"):
+            if not _all_finite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+
         if len(self.h) != self.L - 1:
             raise ValueError("h must have L-1 inter-layer gains")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be > 0")
         if self.P_s < 0:
             raise ValueError("P_s must be >= 0")
-        if isinstance(self.h_e, tuple) and len(self.h_e) != self.nodes_per_layer[self.M - 1]:
+        if len(self.h_e) != self.nodes_per_layer[self.M - 1]:
             raise ValueError("per-node h_e must have one entry per node of layer M")
-        if isinstance(self.P, tuple):
-            if len(self.P) != self.L:
-                raise ValueError("per-node P must have one row per layer")
-            for l, row in enumerate(self.P):
-                if len(row) != self.nodes_per_layer[l]:
-                    raise ValueError(f"P row {l + 1} does not match layer width")
-        for row in self.P if isinstance(self.P, tuple) else ((self.P,),):
-            if any(p < 0 for p in row):
-                raise ValueError("relay powers must be >= 0")
+        if len(self.P) != self.L:
+            raise ValueError("per-node P must have one row per layer")
+        for l, row in enumerate(self.P):
+            if len(row) != self.nodes_per_layer[l]:
+                raise ValueError(f"P row {l + 1} does not match layer width")
+        if any(p < 0 for row in self.P for p in row):
+            raise ValueError("relay powers must be >= 0")
 
     @classmethod
     def diamond(cls, N, h_s, h_t, h_e, P_s, P, sigma2) -> "LayeredNetwork":
@@ -134,19 +133,11 @@ class LayeredNetwork:
     # -- structural helpers -------------------------------------------------
     def layer_power(self, l: int) -> np.ndarray:
         """Per-node transmit power caps of layer l (0-based)."""
-        if isinstance(self.P, tuple):
-            return np.asarray(self.P[l], dtype=float)
-        return np.full(self.nodes_per_layer[l], self.P, dtype=float)
+        return np.asarray(self.P[l])
 
     def gain_out(self, l: int) -> float:
         """Gain out of relay layer l (0-based); h_t for the last layer."""
         return self.h[l] if l < self.L - 1 else self.h_t
-
-    def he_array(self) -> np.ndarray:
-        n_m = self.nodes_per_layer[self.M - 1]
-        if isinstance(self.h_e, tuple):
-            return np.asarray(self.h_e, dtype=float)
-        return np.full(n_m, self.h_e, dtype=float)
 
     @property
     def uniform_N(self) -> int | None:
@@ -155,16 +146,12 @@ class LayeredNetwork:
 
     @property
     def uniform_P(self) -> float | None:
-        if isinstance(self.P, float):
-            return self.P
         vals = {p for row in self.P for p in row}
         return next(iter(vals)) if len(vals) == 1 else None
 
     @property
     def common_h_e(self) -> float | None:
         """Scalar eavesdropper gain if all snooped-layer gains agree."""
-        if isinstance(self.h_e, float):
-            return self.h_e
         return self.h_e[0] if len(set(self.h_e)) == 1 else None
 
 
@@ -332,8 +319,7 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     if not snoop:
         return RateReport.from_snrs(snr_t, 0.0)
 
-    b_m = c.betas[m]
-    he = net.he_array()
+    b_m, he = c.betas[m], net.h_e
     w = float(sum(b_m[i] * he[i] for i in snoop)) ** 2
     own = float(sum((b_m[i] * he[i]) ** 2 for i in snoop))
     s2 = net.sigma2

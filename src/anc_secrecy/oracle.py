@@ -114,12 +114,11 @@ class _Objective:
     def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
         self.L, self.s2 = net.L, net.sigma2
         offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
-        he = net.he_array().tolist()
         # per layer: (coordinate, power cap) of each node, squared gain out,
         # and the snooped (node, h_e) pairs on layer M
         self.layers = [(list(zip(range(offs[l], offs[l + 1]), net.layer_power(l).tolist())),
                         net.gain_out(l) ** 2,
-                        [(i, he[i]) for i in snoop] if l == net.M - 1 else [])
+                        [(i, net.h_e[i]) for i in snoop] if l == net.M - 1 else [])
                        for l in range(net.L)]
         self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0)
 
@@ -172,7 +171,7 @@ def _batch_objective(net: LayeredNetwork, snoop: tuple[int, ...], U: np.ndarray)
     snr_t = sig / (fwd + s2)
     if snoop:
         idx = list(snoop)
-        t = b_m[:, idx] * net.he_array()[idx]
+        t = b_m[:, idx] * np.asarray(net.h_e)[idx]
         w = t.sum(axis=1) ** 2
         own = (t ** 2).sum(axis=1)
         snr_e = sig_m * w / (fwd_m * w + s2 * own + s2)

@@ -27,7 +27,7 @@ def rates_by_path_enumeration(net: LayeredNetwork, scaling: ScalingVector,
     """
     L = net.L
     beta = [list(map(float, row)) for row in scaling.beta]
-    he = list(map(float, net.he_array()))
+    he = net.h_e
     m = net.M - 1
     n_m = net.nodes_per_layer[m]
     snoop = tuple(range(n_m)) if snooped is None else tuple(sorted(snooped))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from anc_secrecy import ExperimentConfig, bundled_presets
+from anc_secrecy import ExperimentConfig, LayeredNetwork, bundled_presets
 from anc_secrecy.cli import ConfigError, load_config, main, run
 
 
@@ -40,6 +40,16 @@ class TestConfig:
         d["network"]["P"] = [[5.0, 1.25, 20.0]]
         cfg = ExperimentConfig.from_dict(d)
         assert cfg.network.P == ((5.0, 1.25, 20.0),)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_scalar_and_per_node_forms_are_one_network(self):
+        scalar = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.6, h=(0.5,), h_t=0.4,
+                                h_e=0.2, M=2, P_s=5.0, P=4.0, sigma2=1.0)
+        per_node = replace(scalar, h_e=[0.2, 0.2, 0.2], P=[[4.0, 4.0], [4.0, 4.0, 4.0]])
+        assert scalar == per_node and hash(scalar) == hash(per_node)
+        assert scalar.h_e == (0.2, 0.2, 0.2) and scalar.P == ((4.0, 4.0), (4.0, 4.0, 4.0))
+        cfg = ExperimentConfig(network=scalar, mode="solve")
+        assert cfg.to_dict()["network"]["P"] == [[4.0, 4.0], [4.0, 4.0, 4.0]]
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_named(self):
@@ -78,13 +88,13 @@ class TestConfig:
 class TestPresets:
     def test_fig5a_parameters(self):
         net = bundled_presets()["fig5a"].network
-        assert (net.h_s, net.h[0], net.h_t, net.h_e) == (0.689, 0.603, 0.203, 0.031)
+        assert (net.h_s, net.h[0], net.h_t, net.common_h_e) == (0.689, 0.603, 0.203, 0.031)
         assert net.uniform_P == 500.0 and net.sigma2 == 1.0
         assert bundled_presets()["fig5a"].delta == 0.005
 
     def test_fig5b_parameters(self):
         net = bundled_presets()["fig5b"].network
-        assert (net.h_s, net.h[0], net.h_t, net.h_e) == (0.260, 0.925, 0.113, 0.012)
+        assert (net.h_s, net.h[0], net.h_t, net.common_h_e) == (0.260, 0.925, 0.113, 0.012)
 
     def test_example1_parameters(self):
         net = bundled_presets()["example1"].network
@@ -94,7 +104,7 @@ class TestPresets:
 
     def test_fig4_parameters(self):
         net = bundled_presets()["fig4"].network
-        assert (net.h_s, net.h_t, net.h_e) == (0.278, 0.379, 0.073)
+        assert (net.h_s, net.h_t, net.common_h_e) == (0.278, 0.379, 0.073)
         assert net.uniform_P == 10.0 and net.sigma2 == 1.0
 
 
@@ -260,7 +270,9 @@ class TestCliProcess:
     @pytest.mark.parametrize("key, value", [
         ("sweep.from", None), ("sweep.to", "x"), ("sweep.points", "x"), ("delta", "x"),
         ("seed", "x"), ("seed", -3), ("output", 5), ("network.nodes_per_layer", 5),
-        ("network.M", 1.9), ("network.N", 2.5), ("sweep.points", 2.7)])
+        ("network.M", 1.9), ("network.N", 2.5), ("sweep.points", 2.7),
+        # JSON booleans are not numbers, although Python's bool is an int
+        ("seed", True), ("network.P_s", True), ("network.nodes_per_layer", [True, 2])])
     def test_exit_1_bad_value_names_dotted_key(self, tmp_path, capsys, key, value):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))
         bad["sweep"] = {"from": 1.0, "to": 10.0, "points": 3}

@@ -162,6 +162,16 @@ class TestSnoopSubsets:
         assert analysis.symmetric_shortcut
         assert analysis.best_subset == (0, 1, 2)
 
+    def test_shortcut_needs_only_layer_m_symmetric(self):
+        # the first layer's cap differs from layer M's; permuting layer M's
+        # nodes is still a symmetry, so one subset per size suffices
+        net = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.6, h=(0.5,), h_t=0.4,
+                             h_e=0.2, M=2, P_s=5.0, P=((4.0, 4.0), (9.0, 9.0, 9.0)),
+                             sigma2=1.0)
+        analysis = best_snoop_subset(net, cfg=SearchConfig(restarts=4, seed=0))
+        assert analysis.symmetric_shortcut
+        assert [r.subset for r in analysis.results] == [(0,), (0, 1), (0, 1, 2)]
+
     def test_first_width_over_the_subset_limit_runs_no_oracle_call(self, monkeypatch):
         # 2^9 - 1 = 511 subsets exceed the limit of 255 (2^8 - 1)
         class OracleCalled(Exception):

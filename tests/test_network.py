@@ -48,6 +48,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScalingVector(beta=((1.5,),), beta_max=((1.0,),))
 
+    @pytest.mark.parametrize("cls, override, message", [
+        (LayeredNetwork, dict(L=0, nodes_per_layer=()), "L must be >= 1"),
+        (LayeredNetwork, dict(nodes_per_layer=(2,)), "nodes_per_layer must have L entries"),
+        (LayeredNetwork, dict(nodes_per_layer=(2, 0)), "every layer needs at least one node"),
+        (LayeredNetwork, dict(P_s=-1.0), "P_s must be >= 0"),
+        (LayeredNetwork, dict(P=((5.0, 5.0),)), "per-node P must have one row per layer"),
+        (LayeredNetwork, dict(P=((5.0, 5.0), (5.0,))), "P row 2 does not match layer width"),
+        (LayeredNetwork, dict(P=((5.0, 5.0), (5.0, -1.0))), "relay powers must be >= 0"),
+        (LayeredNetwork, dict(P=-1.0), "relay powers must be >= 0"),
+        (ScalingVector, dict(beta_max=((2.0,),)), "beta and beta_max shapes differ")])
+    def test_structural_error_messages(self, cls, override, message):
+        base = (dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4, h_e=0.2,
+                     M=2, P_s=5.0, P=5.0, sigma2=1.0) if cls is LayeredNetwork
+                else dict(beta=((1.0, 1.0),), beta_max=((2.0, 2.0),)))
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            cls(**{**base, **override})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["h_s", "h", "h_t", "h_e", "h_e_node", "P_s", "P",
                                      "P_node", "sigma2"])
