@@ -3,7 +3,7 @@ CSV output for single-shot solves, snooping-subset analyses, source-power
 sweeps, and high-SNR gap reports.
 
 Exit codes: 0 success, 1 config parse/validation error, 2 model validation
-error, 3 high-SNR regime violation.
+error or inputs that overflow the float range, 3 high-SNR regime violation.
 """
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .diamond import best_snoop_subset
 from .highsnr import cutset_bound, high_snr_report
 from .layered import closed_form_applies, optimal_scaling
-from .network import LayeredNetwork, RegimeViolationError, beta_max_vector, rates
+from .network import LayeredNetwork, RegimeViolationError, _number, beta_max_vector, rates
 from .oracle import SearchConfig, maximize_secrecy
 
 
@@ -30,8 +31,10 @@ class ConfigError(ValueError):
 
 MODES = ("solve", "subset", "sweep", "highsnr")
 
-_NETWORK_KEYS = {"L", "N", "nodes_per_layer", "h_s", "h", "h_t", "h_e", "M",
-                 "P_s", "P", "sigma2"}
+# the config's network block holds LayeredNetwork's fields, or N for a
+# uniform width in place of nodes_per_layer; h defaults to no gains
+_NETWORK_FIELDS = tuple(f.name for f in fields(LayeredNetwork))
+_NETWORK_KEYS = {*_NETWORK_FIELDS, "N"}
 _SWEEP_KEYS = {"variable", "from", "to", "points", "scale"}
 _TOP_KEYS = {"network", "mode", "sweep", "delta", "output", "seed"}
 
@@ -98,25 +101,13 @@ class ExperimentConfig:
             sweep = _sweep_from_dict(data["sweep"])
         delta = data.get("delta")
         return cls(network=net, mode=str(data["mode"]), sweep=sweep,
-                   delta=None if delta is None else _number("delta", delta),
+                   delta=None if delta is None else _config_number("delta", delta),
                    output=data.get("output"),
-                   seed=_number("seed", data.get("seed", 0), integer=True))
+                   seed=_config_number("seed", data.get("seed", 0), integer=True))
 
     def to_dict(self) -> dict:
-        net = self.network
         out = {
-            "network": {
-                "L": net.L,
-                "nodes_per_layer": list(net.nodes_per_layer),
-                "h_s": net.h_s,
-                "h": list(net.h),
-                "h_t": net.h_t,
-                "h_e": list(net.h_e),
-                "M": net.M,
-                "P_s": net.P_s,
-                "P": [list(r) for r in net.P],
-                "sigma2": net.sigma2,
-            },
+            "network": {key: _lists(value) for key, value in asdict(self.network).items()},
             "mode": self.mode,
             "seed": self.seed,
         }
@@ -131,55 +122,42 @@ class ExperimentConfig:
         return out
 
 
+def _lists(value):
+    """value with every tuple, nested too, as a list, as JSON writes it."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _config_number(key: str, value, integer: bool = False):
+    """The model's number parser, with its errors as config errors."""
+    try:
+        return _number(key, value, integer=integer)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _network_from_dict(data: dict) -> LayeredNetwork:
     if not isinstance(data, dict):
         raise ConfigError("network: must be an object")
     unknown = set(data) - _NETWORK_KEYS
     if unknown:
         raise ConfigError(f"network: unknown key {sorted(unknown)[0]!r}")
-    for key in ("L", "h_s", "h_t", "h_e", "M", "P_s", "P", "sigma2"):
-        if key not in data:
+    for key in _NETWORK_FIELDS:
+        if key not in data and key not in ("nodes_per_layer", "h"):
             raise ConfigError(f"network.{key}: missing")
-    L = _number("network.L", data["L"], integer=True)
-    if "nodes_per_layer" in data:
-        nodes = _number("network.nodes_per_layer", data["nodes_per_layer"], depth=1,
-                        integer=True)
-    elif "N" in data:
-        nodes = (_number("network.N", data["N"], integer=True),) * L
-    else:
-        raise ConfigError("network.nodes_per_layer: missing (or give N)")
-    values = dict(
-        L=L, nodes_per_layer=nodes, M=_number("network.M", data["M"], integer=True),
-        h=_number("network.h", data.get("h", []), depth=1),
-        h_e=_number("network.h_e", data["h_e"], depth=isinstance(data["h_e"], (list, tuple))),
-        P=_number("network.P", data["P"], depth=2 * isinstance(data["P"], (list, tuple))),
-        **{key: _number(f"network.{key}", data[key]) for key in ("h_s", "h_t", "P_s", "sigma2")})
+    values = {"h": [], **data}
+    n = values.pop("N", None)
+    if "nodes_per_layer" not in data:
+        if "N" not in data:
+            raise ConfigError("network.nodes_per_layer: missing (or give N)")
+        L = _config_number("network.L", data["L"], integer=True)
+        values["nodes_per_layer"] = (_config_number("network.N", n, integer=True),) * L
     try:
         return LayeredNetwork(**values)
     except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
-
-
-def _number(key: str, value, depth: int = 0, integer: bool = False):
-    """A number, or lists of numbers nested `depth` deep, as floats, or as
-    ints when `integer` (integral values such as 2.0 only). Errors name the
-    dotted config key."""
-    if depth:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key}: must be a list, got {value!r}")
-        return tuple(_number(key, v, depth - 1, integer) for v in value)
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: must be a number, got {value!r}") from exc
-    if not integer:
-        return out
-    if not out.is_integer():
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    # a JSON integer stays exact, also beyond float precision
-    return int(value) if isinstance(value, int) else int(out)
+        # the model's number errors start with "<field>:"; they name the dotted key
+        field = str(exc).partition(":")[0]
+        raise ConfigError(f"network.{exc}" if field in _NETWORK_FIELDS
+                          else f"network: {exc}") from exc
 
 
 def _sweep_from_dict(data: dict) -> SweepSpec:
@@ -192,9 +170,9 @@ def _sweep_from_dict(data: dict) -> SweepSpec:
         if key not in data:
             raise ConfigError(f"sweep.{key}: missing")
     return SweepSpec(variable=data.get("variable", "P_s"),
-                     start=_number("sweep.from", data["from"]),
-                     stop=_number("sweep.to", data["to"]),
-                     points=_number("sweep.points", data["points"], integer=True),
+                     start=_config_number("sweep.from", data["from"]),
+                     stop=_config_number("sweep.to", data["to"]),
+                     points=_config_number("sweep.points", data["points"], integer=True),
                      scale=data.get("scale", "log"))
 
 
@@ -246,7 +224,10 @@ def bundled_presets() -> dict[str, ExperimentConfig]:
 # mode implementations
 # ---------------------------------------------------------------------------
 def _fmt(x) -> str:
-    return f"{float(x):.9g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise OverflowError(f"a result is {x}")
+    return f"{x:.9g}"
 
 
 def _beta_columns(net: LayeredNetwork) -> list[str]:
@@ -319,7 +300,9 @@ _RUNNERS = {"solve": run_solve, "subset": run_subset,
 
 def run(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """Execute a config and return (header, rows); writes cfg.output if set."""
-    header, rows = _RUNNERS[cfg.mode](cfg)
+    # an overflow raises instead of printing inf or nan cells
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        header, rows = _RUNNERS[cfg.mode](cfg)
     if cfg.output:
         _write_csv(cfg.output, header, rows)
     return header, rows
@@ -375,6 +358,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"model error: the inputs overflow the float range: {exc}", file=sys.stderr)
         return 2
 
     if not cfg.output:

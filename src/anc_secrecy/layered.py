@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class LayeredSolution:
     beta: ScalingVector
     rate: RateReport
     layer_m: LayerMSolution
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: ClassVar[tuple[str, ...]] = ()
 
 
 def closed_form_applies(net: LayeredNetwork) -> bool:

@@ -35,23 +35,27 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _as_int(key: str, value) -> int:
-    """value as an int; integral floats such as 2.0 pass, 1.9 does not."""
+def _number(key: str, value, depth: int = 0, integer: bool = False):
+    """A finite number, or lists of them nested `depth` deep, as floats, or as
+    ints when `integer` (integral values such as 2.0 only). Booleans and
+    strings are not numbers. Errors read "<key>: must be ..."."""
+    if depth:
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ValueError(f"{key}: must be a list, got {value!r}")
+        return tuple(_number(key, v, depth - 1, integer) for v in value)
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{key}: must be a number, got {value!r}")
     try:
-        out = int(value)
-        integral = out == value
-    except (ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{key} must be a finite integer, got {value!r}")
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key}: must be a number, got {value!r}") from None
+    if integer and out.is_integer():
+        # an int stays exact, also beyond float precision
+        return int(value) if isinstance(value, int) else int(out)
+    if integer or not math.isfinite(out):
+        raise ValueError(f"{key}: must be {'a finite integer' if integer else 'finite'}, "
+                         f"got {value!r}")
     return out
-
-
-def _all_finite(value) -> bool:
-    """True when a float, or every float of a nested tuple, is finite."""
-    if isinstance(value, tuple):
-        return all(_all_finite(v) for v in value)
-    return math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,8 @@ class LayeredNetwork:
     sigma2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _as_int("L", self.L))
-        object.__setattr__(self, "M", _as_int("M", self.M))
-        object.__setattr__(self, "nodes_per_layer",
-                           tuple(_as_int("nodes_per_layer", n) for n in self.nodes_per_layer))
+        for key, depth in (("L", 0), ("M", 0), ("nodes_per_layer", 1)):
+            object.__setattr__(self, key, _number(key, getattr(self, key), depth, integer=True))
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if len(self.nodes_per_layer) != self.L:
@@ -92,21 +94,13 @@ class LayeredNetwork:
         if not 1 <= self.M <= self.L:
             raise ValueError("M must be in 1..L")
         # a scalar h_e or P is stored per node, so every reader sees one form
-        h_e, P = self.h_e, self.P
-        if not isinstance(h_e, (tuple, list, np.ndarray)):
-            h_e = (h_e,) * self.nodes_per_layer[self.M - 1]
-        if not isinstance(P, (tuple, list, np.ndarray)):
-            P = [(P,) * n for n in self.nodes_per_layer]
-        object.__setattr__(self, "h_s", float(self.h_s))
-        object.__setattr__(self, "h", _as_float_tuple(self.h))
-        object.__setattr__(self, "h_t", float(self.h_t))
-        object.__setattr__(self, "h_e", _as_float_tuple(h_e))
-        object.__setattr__(self, "P_s", float(self.P_s))
-        object.__setattr__(self, "P", tuple(_as_float_tuple(row) for row in P))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        for key in ("h_s", "h", "h_t", "h_e", "P_s", "P", "sigma2"):
-            if not _all_finite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        if not isinstance(self.h_e, (tuple, list, np.ndarray)):
+            object.__setattr__(self, "h_e", (self.h_e,) * self.nodes_per_layer[self.M - 1])
+        if not isinstance(self.P, (tuple, list, np.ndarray)):
+            object.__setattr__(self, "P", [(self.P,) * n for n in self.nodes_per_layer])
+        for key, depth in (("h_s", 0), ("h", 1), ("h_t", 0), ("h_e", 1), ("P_s", 0),
+                           ("P", 2), ("sigma2", 0)):
+            object.__setattr__(self, key, _number(key, getattr(self, key), depth))
 
         if len(self.h) != self.L - 1:
             raise ValueError("h must have L-1 inter-layer gains")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class SearchConfig:
     """Search knobs. Deterministic for a fixed seed."""
 
     restarts: int = 64
-    refine_tol: float = 1e-10
     seed: int = 0
+    refine_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if self.restarts < 1:

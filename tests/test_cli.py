@@ -1,5 +1,6 @@
 """Config parsing, presets, CSV output, and CLI exit codes."""
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from anc_secrecy import ExperimentConfig, LayeredNetwork, bundled_presets
-from anc_secrecy.cli import ConfigError, load_config, main, run
+from anc_secrecy.cli import MODES, ConfigError, load_config, main, run
 
 
 def _run_cli(args):
-    return subprocess.run([sys.executable, "-m", "anc_secrecy", *args],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "anc_secrecy", *args],
                           capture_output=True, text=True)
 
 
@@ -283,6 +284,50 @@ class TestCliProcess:
         p.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["solve", "--config", str(p)]) == 1
         assert f"{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, key, value", [
+        ("highsnr", "delta", math.nan), ("highsnr", "delta", math.inf),
+        ("sweep", "sweep.to", math.inf), ("sweep", "sweep.from", -math.inf),
+        ("solve", "network.h_s", "0.6"), ("solve", "seed", "2")])
+    def test_exit_1_non_finite_or_string_number_names_dotted_key(self, tmp_path, capsys,
+                                                                 mode, key, value):
+        bad = json.loads(json.dumps(EXAMPLE1_DICT))
+        bad.update(sweep={"from": 1.0, "to": 10.0, "points": 3}, delta=0.005)
+        *parents, leaf = key.split(".")
+        (bad[parents[0]] if parents else bad)[leaf] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        assert main([mode, "--config", str(p)]) == 1
+        assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("key, value", [("h_s", 1e200), ("h_t", 1e200),
+                                            ("sigma2", 1e-320), ("P", 1e308), ("P_s", 1e308)])
+    def test_overflowing_inputs_exit_2(self, tmp_path, capsys, mode, key, value):
+        d = bundled_presets()["fig5a"].to_dict()
+        d["network"][key] = value
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        code = main([mode, "--config", str(p)])
+        out, err = capsys.readouterr()
+        if key == "P_s":
+            # no product overflows: the amplifiers scale the source power down
+            assert code == 0, err
+            cells = [c for row in out.splitlines()[1:] for c in row.split(",") if c]
+            assert cells and all(math.isfinite(float(c)) for c in cells)
+        else:
+            assert code == 2
+            assert err.startswith("model error: the inputs overflow the float range")
+
+    @pytest.mark.parametrize("mode", ["sweep", "highsnr"])
+    def test_cutset_bound_past_the_float_range_exits_2(self, tmp_path, capsys, mode):
+        # numpy raises nothing here: the cutset bound overflows in Python floats
+        d = bundled_presets()["fig5a"].to_dict()
+        d["network"].update(P=1e290, sigma2=1e-20)
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main([mode, "--config", str(p)]) == 2
+        assert "overflow the float range: a result is inf" in capsys.readouterr().err
 
     def test_exit_1_negative_seed_flag(self, capsys):
         assert main(["solve", "--preset", "example1", "--seed", "-1"]) == 1

@@ -17,6 +17,7 @@ from anc_secrecy import (
     plateau_index,
     propagate,
     rates,
+    snr_e_by_k,
 )
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
@@ -216,3 +217,25 @@ class TestPlateau:
 
     def test_none_when_still_rising(self):
         assert plateau_index([1.0, 2.0, 3.0], rel_slope=1e-4) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: high_snr_scaling(replace(FIG5A, nodes_per_layer=(2, 3), h_e=0.031, P=500.0), 0.005),
+     "high-SNR formulas require uniform layer width and power cap"),
+    (lambda: high_snr_scaling(replace(FIG5A, P=((500.0, 500.0), (400.0, 400.0))), 0.005),
+     "high-SNR formulas require uniform layer width and power cap"),
+    (lambda: high_snr_scaling(FIG5A, -0.1), "delta must be >= 0"),
+    (lambda: high_snr_scaling(replace(FIG5A, P_s=0.0), 0.005),
+     r"layer 1 receives no signal \(P_s h_s\^2 = 0\)"),
+    (lambda: high_snr_scaling(replace(FIG5A, h=(0.0,)), 0.005),
+     r"layer 2 receives no signal \(dead hop gain\)"),
+    (lambda: achievable_highsnr(replace(FIG5A, h_t=0.0), 0.005),
+     r"dead destination gain \(h_t = 0\)"),
+    (lambda: snr_e_by_k(LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
+                                                P_s=10.0, P=10.0, sigma2=1.0), 4),
+     r"k must be in 0\.\.N")],
+    ids=["ragged_width", "per_layer_cap", "negative_delta", "no_source_power",
+         "dead_hop_gain", "dead_destination_gain", "k_out_of_range"])
+def test_guard_messages(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()

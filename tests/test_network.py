@@ -79,7 +79,7 @@ class TestValidation:
             params["h"] = (bad,)
         else:
             params[key] = bad
-        with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{key}: must be finite"):
             LayeredNetwork(**params)
 
     @pytest.mark.parametrize("key", ["L", "M", "nodes_per_layer"])
@@ -87,7 +87,7 @@ class TestValidation:
         params = dict(L=1, nodes_per_layer=(2,), h_s=0.6, h=(), h_t=0.4, h_e=0.2,
                       M=1, P_s=5.0, P=5.0, sigma2=1.0)
         params[key] = (math.inf,) if key == "nodes_per_layer" else math.nan
-        with pytest.raises(ValueError, match=rf"^{key} must be a finite integer"):
+        with pytest.raises(ValueError, match=rf"^{key}: must be a finite integer"):
             LayeredNetwork(**params)
 
     @pytest.mark.parametrize("key", ["L", "M", "nodes_per_layer"])
@@ -96,11 +96,22 @@ class TestValidation:
         params = dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4, h_e=0.2,
                       M=2, P_s=5.0, P=5.0, sigma2=1.0)
         params[key] = (2.5, 2) if key == "nodes_per_layer" else 2.5
-        with pytest.raises(ValueError, match=rf"^{key} must be a finite integer"):
+        with pytest.raises(ValueError, match=rf"^{key}: must be a finite integer"):
             LayeredNetwork(**params)
         params[key] = (2.0, 2) if key == "nodes_per_layer" else 2.0
         net = LayeredNetwork(**params)
         assert (net.L, net.M, net.nodes_per_layer) == (2, 2, (2, 2))
+
+    @pytest.mark.parametrize("key, value", [
+        ("h_s", None), ("h_s", True), ("h_s", "0.5"), ("h", 5), ("nodes_per_layer", 2),
+        ("P", [[5, 5], [5, None]]), ("h_e", [0.2, "x"]), ("M", np.True_)])
+    def test_rejects_non_numbers_naming_the_field(self, key, value):
+        # booleans and numeric strings are not numbers, although float() takes them
+        params = dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4, h_e=0.2,
+                      M=2, P_s=5.0, P=5.0, sigma2=1.0)
+        params[key] = value
+        with pytest.raises(ValueError, match=rf"^{key}: must be a (number|list), got "):
+            LayeredNetwork(**params)
 
 
 class TestBetaMax:
