@@ -20,8 +20,8 @@ import numpy as np
 
 from .diamond import best_snoop_subset
 from .highsnr import cutset_bound, high_snr_report
-from .layered import closed_form_applies, optimal_scaling
-from .network import LayeredNetwork, RegimeViolationError, _number, beta_max_vector, rates
+from .layered import closed_form_applies, optimal_rates, optimal_scaling
+from .network import LayeredNetwork, RegimeViolationError, _number
 from .oracle import SearchConfig, maximize_secrecy
 
 
@@ -267,23 +267,22 @@ def run_subset(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _sweep_point(net: LayeredNetwork, p_s: float) -> list[str]:
-    net_p = replace(net, P_s=p_s)
-    r_opt = optimal_scaling(net_p).rate.r_s
-    r_allmax = rates(net_p, beta_max_vector(net_p)).r_s
-    if net.M < net.L:
-        # the cutset bound holds only for an eavesdropper on the last layer
-        return [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax), "", ""]
-    c_cut = cutset_bound(net_p)
-    return [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax), _fmt(c_cut),
-            _fmt(c_cut - r_allmax)]
-
-
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     net = cfg.network
     values = cfg.sweep.values()
     header = ["P_s", "r_s_opt", "r_s_allmax", "c_cut", "gap"]
-    return header, [_sweep_point(net, float(v)) for v in values]
+    # the cutset bound holds only for an eavesdropper on the last layer, and
+    # P_s does not enter it: it is computed, and refused if infinite, once
+    # before the points. A network outside the closed form is left to
+    # optimal_rates, whose error names the condition it lacks.
+    cut = net.M == net.L and closed_form_applies(net)
+    c_cut = cutset_bound(net) if cut else None
+    c_cell = _fmt(c_cut) if cut else ""
+    rows = []
+    for p_s, opt, allmax in zip(values.tolist(), *optimal_rates(net, values)):
+        gap = _fmt(c_cut - allmax.r_s) if cut else ""
+        rows.append([_fmt(p_s), _fmt(opt.r_s), _fmt(allmax.r_s), c_cell, gap])
+    return header, rows
 
 
 def run_highsnr(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:

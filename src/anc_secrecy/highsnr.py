@@ -74,7 +74,7 @@ def _check_regime(net: LayeredNetwork, betas: list[float], delta: float) -> None
     reach 1/delta. Skipped at delta = 0, which is the idealized limit."""
     if delta == 0:
         return
-    c = cascade(net, lambda l, bmax: np.full_like(bmax, betas[l]))
+    c = cascade(net, [(b,) * n for b, n in zip(betas, net.nodes_per_layer)])
     for l in range(net.L):
         snr = float(c.sig[l] / (c.fwd[l] + net.sigma2))
         if snr * delta < 1.0 - 1e-9:

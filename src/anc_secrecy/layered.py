@@ -22,7 +22,7 @@ point too, and the closed form answers for every network it applies to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -32,6 +32,9 @@ from .network import (
     LayeredNetwork,
     RateReport,
     ScalingVector,
+    _check_scaling,
+    _pow2_rows,
+    _rate_reports,
     cascade,
     max_scaling_with_layer,
     rates,
@@ -112,13 +115,18 @@ def extract_coefficients(net: LayeredNetwork) -> CoefficientSet:
     return _coefficients(net, n, he, cascade(net, lambda l, bmax: bmax))
 
 
-def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> CoefficientSet:
-    """The coefficients with layers 1..M-1 sending as in the cascade c.
+def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade,
+                  P_s=None) -> CoefficientSet:
+    """The coefficients with layers 1..M-1 sending as in the cascade c, of
+    one point or, elementwise, of a batch of source powers P_s (as in
+    `cascade_layers`); only E, F, lam and what is built from them vary
+    with P_s.
 
     The stationary quadratic (in beta_M^2) is built from terms of known sign,
     sign = h_M^2 alpha - h_e^2 nu and slack = n lam E + t excess >= 0, with
     t = nF + 1 and excess = mu - alpha stepped beside d2 as excess a + d3.
-    So sign > 0 gives cal_A < 0 < cal_C in floating point too.
+    So sign > 0 gives cal_A < 0 < cal_C in floating point too. Raises
+    OverflowError when the quadratic's coefficients leave the float range.
     """
     # the source-side compounds: sig_M = P_s E and fwd_M = sigma2 F
     e_val, f_val = net.h_s ** 2, 0.0
@@ -126,9 +134,8 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         g = net.h[l] ** 2
         e_val *= c.s_sum[l] * g
         f_val = (f_val * c.s_sum[l] + c.q_sum[l]) * g
-    e_val, f_val = float(e_val), float(f_val)
     s2 = net.sigma2
-    rho = net.P_s / s2
+    rho = (net.P_s if P_s is None else P_s) / s2
     downstream = []
     for l in range(net.M, net.L):
         p = net.layer_power(l)
@@ -144,13 +151,32 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
     t = n * f_val + 1.0
     sign = h_m2 * alpha - he2 * nu
     slack = n * lam * e_val + t * excess
+    n_rho_e, n_rho_alpha_e = _n_rho_products(n, rho, alpha, e_val)
     cal_a = -n ** 2 * h_m2 * he2 * (
-        alpha * t * (t + n * rho * e_val) * sign
-        + h_m2 * slack * (n * lam * e_val + t * (mu + alpha) + n * rho * alpha * e_val))
+        alpha * t * (t + n_rho_e) * sign
+        + h_m2 * slack * (n * lam * e_val + t * (mu + alpha) + n_rho_alpha_e))
+    cal_b = -2.0 * n * nu * h_m2 * he2 * slack
+    cal_c = nu * sign
+    if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
+        raise OverflowError("the layer-M quadratic's coefficients are not finite")
     return CoefficientSet(E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu,
                           A=alpha * e_val, B=lam * e_val + mu * f_val, C=mu, D=nu,
-                          cal_A=cal_a, cal_B=-2.0 * n * nu * h_m2 * he2 * slack,
-                          cal_C=nu * sign)
+                          cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
+
+
+def _n_rho_products(n: int, rho, alpha: float, e_val):
+    """n rho E and n rho alpha E, multiplied left to right as the lemma
+    writes them. Where n rho alone overflows (P_s / sigma2 near the float
+    limit), both stay in range, because E falls as 1/P_s; there rho E, the
+    SNR entering layer M, is taken first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_rho = n * rho
+        products = n_rho * e_val, n_rho * alpha * e_val
+    wide = np.isinf(n_rho)
+    if not wide.any():
+        return products
+    rho_e = rho * e_val
+    return np.where(wide, n * rho_e, products[0]), np.where(wide, n * rho_e * alpha, products[1])
 
 
 def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float, rho: float,
@@ -207,3 +233,30 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
                          float(allmax.bounds[m][0]))
     sv = max_scaling_with_layer(net, m, sol_m.beta_opt)
     return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=sol_m)
+
+
+def optimal_rates(net: LayeredNetwork,
+                  P_s) -> tuple[list[RateReport], list[RateReport]]:
+    """The optimal and the all-max rates at each source power of the vector
+    P_s, in one batched pass. Point for point they equal
+    `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
+    net.P_s set to that power: the cascades square by libm pow, and
+    lemma_beta_M and the logs run per point on Python floats."""
+    n, he = _require_lemma_network(net)
+    P_s = np.asarray(P_s, dtype=float)
+    m = net.M - 1
+    allmax = cascade(net, lambda l, bmax: bmax, P_s, _pow2_rows)
+    coeffs = _coefficients(net, n, he, allmax, P_s)
+    columns = (v.tolist() if isinstance(v, np.ndarray) else [float(v)] * P_s.size
+               for v in (getattr(coeffs, f.name) for f in fields(CoefficientSet)))
+    points = (CoefficientSet(*values) for values in zip(*columns))
+    bounds_m = allmax.bounds[m][:, 0].tolist()
+    beta_m = np.array([lemma_beta_M(co, net.gain_out(m), he, bmax).beta_opt
+                       for co, bmax in zip(points, bounds_m)])[:, None]
+    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[1], axis=1)
+                  if l == m else bmax, P_s, _pow2_rows)
+    for c in (allmax, opt):
+        # ScalingVector's checks, on each layer's (B, N_l) rows flattened
+        _check_scaling([b.ravel().tolist() for b in c.betas],
+                       [b.ravel().tolist() for b in c.bounds])
+    return _rate_reports(net, opt), _rate_reports(net, allmax)

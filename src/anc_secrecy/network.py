@@ -83,10 +83,17 @@ class LayeredNetwork:
     sigma2: float
 
     def __post_init__(self):
-        for key, depth in (("L", 0), ("M", 0), ("nodes_per_layer", 1)):
-            object.__setattr__(self, key, _number(key, getattr(self, key), depth, integer=True))
+        for key in ("L", "M"):
+            object.__setattr__(self, key, _number(key, getattr(self, key), integer=True))
         if self.L < 1:
             raise ValueError("L must be >= 1")
+        # h's length is checked before anything of length L is parsed or
+        # expanded, so a huge L with a short h fails at once
+        object.__setattr__(self, "h", _number("h", self.h, 1))
+        if len(self.h) != self.L - 1:
+            raise ValueError("h must have L-1 inter-layer gains")
+        object.__setattr__(self, "nodes_per_layer",
+                           _number("nodes_per_layer", self.nodes_per_layer, 1, integer=True))
         if len(self.nodes_per_layer) != self.L:
             raise ValueError("nodes_per_layer must have L entries")
         if any(n < 1 for n in self.nodes_per_layer):
@@ -98,12 +105,10 @@ class LayeredNetwork:
             object.__setattr__(self, "h_e", (self.h_e,) * self.nodes_per_layer[self.M - 1])
         if not isinstance(self.P, (tuple, list, np.ndarray)):
             object.__setattr__(self, "P", [(self.P,) * n for n in self.nodes_per_layer])
-        for key, depth in (("h_s", 0), ("h", 1), ("h_t", 0), ("h_e", 1), ("P_s", 0),
-                           ("P", 2), ("sigma2", 0)):
+        for key, depth in (("h_s", 0), ("h_t", 0), ("h_e", 1), ("P_s", 0), ("P", 2),
+                           ("sigma2", 0)):
             object.__setattr__(self, key, _number(key, getattr(self, key), depth))
 
-        if len(self.h) != self.L - 1:
-            raise ValueError("h must have L-1 inter-layer gains")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be > 0")
         if self.P_s < 0:
@@ -149,6 +154,22 @@ class LayeredNetwork:
         return self.h_e[0] if len(set(self.h_e)) == 1 else None
 
 
+def _check_scaling(beta, beta_max) -> None:
+    """ScalingVector's rules on rows of floats, one per layer: every beta
+    finite and >= 0, and within its bound (up to 1e-9 relative, 1e-15
+    absolute) when the bounds are given."""
+    for row in beta:
+        if any(not math.isfinite(b) or b < 0 for b in row):
+            raise ValueError("scaling factors must be finite and >= 0")
+    if beta_max is not None:
+        if tuple(len(r) for r in beta_max) != tuple(len(r) for r in beta):
+            raise ValueError("beta and beta_max shapes differ")
+        for brow, mrow in zip(beta, beta_max):
+            for b, m in zip(brow, mrow):
+                if b > m * (1 + 1e-9) + 1e-15:
+                    raise ValueError(f"beta {b} exceeds its bound {m}")
+
+
 @dataclass(frozen=True)
 class ScalingVector:
     """Per-node amplification factors with optional per-node upper bounds."""
@@ -161,19 +182,7 @@ class ScalingVector:
         if self.beta_max is not None:
             object.__setattr__(self, "beta_max",
                                tuple(_as_float_tuple(row) for row in self.beta_max))
-        for row in self.beta:
-            if any(not math.isfinite(b) or b < 0 for b in row):
-                raise ValueError("scaling factors must be finite and >= 0")
-        if self.beta_max is not None:
-            if tuple(len(r) for r in self.beta_max) != tuple(len(r) for r in self.beta):
-                raise ValueError("beta and beta_max shapes differ")
-            for brow, mrow in zip(self.beta, self.beta_max):
-                for b, m in zip(brow, mrow):
-                    if b > m * (1 + 1e-9) + 1e-15:
-                        raise ValueError(f"beta {b} exceeds its bound {m}")
-
-    def layer(self, l: int) -> np.ndarray:
-        return np.asarray(self.beta[l], dtype=float)
+        _check_scaling(self.beta, self.beta_max)
 
     def flat(self) -> np.ndarray:
         return np.concatenate([np.asarray(row, dtype=float) for row in self.beta])
@@ -215,9 +224,10 @@ class RateReport:
 
 class Cascade(NamedTuple):
     """One front-to-back propagation, per relay layer: the betas used, their
-    bounds and the sums s_sum = (sum beta)^2 and q_sum = sum beta^2. sig and
-    fwd are the signal and forwarded-noise powers entering each layer, then
-    the destination's."""
+    bounds (None where the policy fixed the betas) and the sums
+    s_sum = (sum beta)^2 and q_sum = sum beta^2. sig and fwd are the signal
+    and forwarded-noise powers entering each layer, then the destination's.
+    A batch's entries hold one row or element per point."""
 
     betas: list
     bounds: list
@@ -231,38 +241,59 @@ class Cascade(NamedTuple):
         return ScalingVector(beta=self.betas, beta_max=self.bounds)
 
 
-def cascade_layers(net: LayeredNetwork, policy):
+def _pow2(x):
+    return x ** 2
+
+
+def _pow2_rows(t: np.ndarray) -> np.ndarray:
+    # libm pow per element, as the scalar path squares; t * t differs in
+    # the last bit on about 0.1% of inputs
+    return np.array([x ** 2 for x in t.tolist()])
+
+
+def cascade_layers(net: LayeredNetwork, policy, P_s=None, square=_pow2):
     """The power-propagation kernel: exact front-to-back recursion.
 
     policy(l, bmax) -> betas actually used at layer l, given its bound
     bmax = sqrt(P_l / rx_l); the received power of layer l+1 is computed from
     those betas, so bounds always reflect the actual upstream transmissions.
-    Policies returning (B, N_l) arrays propagate a batch of B points at once.
+    A policy that is not callable holds every layer's betas; those need no
+    bound, so none is computed and bmax is None.
+
+    Policies returning (B, N_l) arrays, or a (B,) vector P_s of source
+    powers in place of net.P_s, propagate a batch of B points at once.
+    square(s) squares each layer's node sum: the default `**` squares one
+    point's numpy-scalar sum by libm pow, like a float, and a batch's sums
+    by x*x; `_pow2_rows` squares a batch by libm pow, so each of its points
+    equals the point propagated alone.
+
     Yields (betas, bmax, s_sum, q_sum, sig, fwd) per relay layer, with the
     powers entering it, then the destination's (sig, fwd) padded with None.
     Only the current layer is held, so a large batch stays cheap.
     """
     s2 = net.sigma2
-    sig, fwd = net.P_s * net.h_s ** 2, 0.0
+    sig, fwd = (net.P_s if P_s is None else P_s) * net.h_s ** 2, 0.0
+    bounded = callable(policy)
     for l in range(net.L):
-        rx = sig + fwd + s2
-        # a batch's received powers form a column against the layer's nodes
-        col = rx[:, None] if isinstance(rx, np.ndarray) else rx
-        bmax = np.sqrt(net.layer_power(l) / col)
-        b = np.asarray(policy(l, bmax), dtype=float)
+        bmax = None
+        if bounded:
+            rx = sig + fwd + s2
+            # a batch's received powers form a column against the layer's nodes
+            col = rx[:, None] if isinstance(rx, np.ndarray) else rx
+            bmax = np.sqrt(net.layer_power(l) / col)
+        b = np.asarray(policy(l, bmax) if bounded else policy[l], dtype=float)
         g = net.gain_out(l) ** 2
-        # ** squares one point's numpy-scalar sum by libm pow, like a float,
-        # and a batch's sums elementwise
-        s_sum = b.sum(axis=-1) ** 2
+        s_sum = square(b.sum(axis=-1))
         q_sum = (b ** 2).sum(axis=-1)
         yield b, bmax, s_sum, q_sum, sig, fwd
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
     yield None, None, None, None, sig, fwd
 
 
-def cascade(net: LayeredNetwork, policy) -> Cascade:
+def cascade(net: LayeredNetwork, policy, P_s=None, square=_pow2) -> Cascade:
     """Every record of `cascade_layers`, for one point or a small batch."""
-    betas, bounds, s_sum, q_sum, sig, fwd = map(list, zip(*cascade_layers(net, policy)))
+    records = cascade_layers(net, policy, P_s, square)
+    betas, bounds, s_sum, q_sum, sig, fwd = map(list, zip(*records))
     return Cascade(betas[:-1], bounds[:-1], s_sum[:-1], q_sum[:-1], sig, fwd)
 
 
@@ -277,7 +308,7 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
 
 def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
     """Exact signal/noise power propagation for a given scaling vector."""
-    c = cascade(net, lambda l, bmax: scaling.layer(l))
+    c = cascade(net, scaling.beta)
     return PowerFlow(signal_power=tuple(map(float, c.sig[:-1])),
                      noise_power=tuple(map(float, c.fwd[:-1])),
                      rx_power=tuple(float(s + f + net.sigma2) for s, f in zip(c.sig, c.fwd[:-1])),
@@ -296,6 +327,24 @@ def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[
     return snoop
 
 
+def _rate_reports(net: LayeredNetwork, c: Cascade,
+                  snooped: Iterable[int] | None = None) -> list[RateReport]:
+    """The rates of each point of a cascade, one point's or a batch's (see
+    `rates`). The snooped nodes' terms are summed in node order and squared
+    by libm pow, and each point's logs are taken by math.log2, so a point of
+    a batch equals the point alone."""
+    s2, m = net.sigma2, net.M - 1
+    snr_t = np.atleast_1d(c.sig[-1] / (c.fwd[-1] + s2)).tolist()
+    snoop = _snooped_nodes(net, snooped)
+    if not snoop:
+        return [RateReport.from_snrs(t, 0.0) for t in snr_t]
+    terms = [np.atleast_1d(c.betas[m][..., i] * net.h_e[i]) for i in snoop]
+    w = _pow2_rows(sum(terms))
+    own = sum(_pow2_rows(t) for t in terms)
+    snr_e = (c.sig[m] * w / (c.fwd[m] * w + s2 * own + s2)).tolist()
+    return [RateReport.from_snrs(t, e) for t, e in zip(snr_t, snr_e)]
+
+
 def rates(net: LayeredNetwork, scaling: ScalingVector,
           snooped: Iterable[int] | None = None) -> RateReport:
     """Destination and eavesdropper SNRs and rates for a scaling vector.
@@ -305,20 +354,7 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     the eavesdropper: the coherent source component and the noise forwarded
     from layers 1..M-1 arrive through them, plus their own thermal noise.
     """
-    c = cascade(net, lambda l, bmax: scaling.layer(l))
-    snr_t = float(c.sig[-1] / (c.fwd[-1] + net.sigma2))
-
-    m = net.M - 1
-    snoop = _snooped_nodes(net, snooped)
-    if not snoop:
-        return RateReport.from_snrs(snr_t, 0.0)
-
-    b_m, he = c.betas[m], net.h_e
-    w = float(sum(b_m[i] * he[i] for i in snoop)) ** 2
-    own = float(sum((b_m[i] * he[i]) ** 2 for i in snoop))
-    s2 = net.sigma2
-    snr_e = float(c.sig[m] * w / (c.fwd[m] * w + s2 * own + s2))
-    return RateReport.from_snrs(snr_t, snr_e)
+    return _rate_reports(net, cascade(net, scaling.beta), snooped)[0]
 
 
 def max_scaling_with_layer(net: LayeredNetwork, layer: int,

@@ -14,8 +14,8 @@ from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
-from .network import (LayeredNetwork, RateReport, ScalingVector, _snooped_nodes, cascade,
-                      cascade_layers, rates)
+from .network import (LayeredNetwork, RateReport, ScalingVector, _pow2, _pow2_rows,
+                      _snooped_nodes, cascade, cascade_layers, rates)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per line search; each line also evaluates its two
@@ -87,16 +87,6 @@ class VerificationReport:
     rate_deviation: float
     max_coord_deviation: float
     passed: bool
-
-
-def _pow2(x):
-    return x ** 2
-
-
-def _pow2_rows(t: np.ndarray) -> np.ndarray:
-    # libm pow per element, as the scalar path squares; t * t differs in
-    # the last bit on about 0.1% of inputs
-    return np.array([x ** 2 for x in t.tolist()])
 
 
 class _Objective:

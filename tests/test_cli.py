@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +65,20 @@ class TestConfig:
         del bad["network"]["h_t"]
         with pytest.raises(ConfigError, match="h_t"):
             ExperimentConfig.from_dict(bad)
+
+    def test_long_L_rejected_before_expansion(self):
+        # h's length fails first, before a million layers are parsed and
+        # their power caps expanded
+        bad = json.loads(json.dumps(EXAMPLE1_DICT))
+        bad["network"].update(N=2, L=1_000_000, h=[0.5], h_e=0.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="h must have L-1"):
+                ExperimentConfig.from_dict(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_empty_sweep_range_rejected(self):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))

@@ -170,6 +170,13 @@ class TestExtraction:
             assert co.E >= 0 and co.F >= 0 and co.alpha >= 0
             assert co.mu >= -1e-9 and co.nu >= -1e-9
 
+    def test_coefficients_past_the_float_range_raise(self):
+        # the quadratic's coefficients grow as P^2 and pass the float range at
+        # P = 1e200, where an infinite cal_A would give beta_M = 0 and r_s = 0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="not finite"):
+            extract_coefficients(replace(FIG5A, P=1e200))
+
 
 class TestLemmaBetaM:
     def test_zero_branch(self):

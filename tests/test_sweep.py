@@ -1,0 +1,103 @@
+"""The batched sweep against its per-point definition, cell for cell."""
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from anc_secrecy import (
+    ExperimentConfig,
+    LayeredNetwork,
+    SweepSpec,
+    beta_max_vector,
+    bundled_presets,
+    cutset_bound,
+    optimal_scaling,
+    rates,
+)
+from anc_secrecy.cli import _fmt, main, run
+
+
+def _point_row(net: LayeredNetwork, p_s: float) -> list[str]:
+    """One sweep row computed point by point: a fresh network per point,
+    the closed form on it, and the all-max rates from its bound vector."""
+    net_p = replace(net, P_s=p_s)
+    r_opt = optimal_scaling(net_p).rate.r_s
+    r_allmax = rates(net_p, beta_max_vector(net_p)).r_s
+    row = [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax)]
+    if net.M < net.L:
+        return row + ["", ""]
+    c_cut = cutset_bound(net_p)
+    return row + [_fmt(c_cut), _fmt(c_cut - r_allmax)]
+
+
+def _lemma_draw(rng) -> LayeredNetwork:
+    """Criterion 4's gains on 1-3 layers of ragged widths 1-3, each layer
+    with its own common cap, and a common h_e on layer M."""
+    L = int(rng.integers(1, 4))
+    nodes = tuple(int(rng.integers(1, 4)) for _ in range(L))
+    return LayeredNetwork(
+        L=L, nodes_per_layer=nodes, h_s=float(rng.uniform(0.05, 1.3)),
+        h=tuple(float(rng.uniform(0.05, 1.3)) for _ in range(L - 1)),
+        h_t=float(rng.uniform(0.05, 1.3)), h_e=float(rng.uniform(0.02, 1.0)), M=1,
+        P_s=1.0, P=tuple((float(rng.uniform(0.1, 30.0)),) * n for n in nodes),
+        sigma2=float(rng.uniform(0.3, 2.0)))
+
+
+def test_batch_equals_the_per_point_rows():
+    rng = np.random.default_rng(9090)
+    checked = 0
+    for _ in range(25):
+        base = _lemma_draw(rng)
+        low, high = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(6, 10)
+        specs = [SweepSpec("P_s", float(low), float(high), 6, "log"),
+                 SweepSpec("P_s", 0.0, float(rng.uniform(1.0, 100.0)), 5, "linear")]
+        for M in range(1, base.L + 1):
+            net = replace(base, M=M, h_e=base.h_e[0])
+            for spec in specs:
+                _, rows = run(ExperimentConfig(network=net, mode="sweep", sweep=spec))
+                assert rows == [_point_row(net, p) for p in spec.values().tolist()], net
+                checked += len(rows)
+    assert checked > 400
+
+
+def test_fig5_presets_equal_the_per_point_rows():
+    for name in ("fig5a", "fig5b"):
+        cfg = bundled_presets()[name]
+        _, rows = run(cfg)
+        assert rows == [_point_row(cfg.network, p) for p in cfg.sweep.values().tolist()]
+
+
+def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
+    # P_s h_s^2 passes the float range at the last point only
+    d = bundled_presets()["fig5a"].to_dict()
+    d["network"]["h_s"] = 1.5
+    d["sweep"]["to"] = 1e308
+    p = tmp_path / "top.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(p), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "model error: the inputs overflow the float range")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["solve", "sweep"])
+def test_overflowing_coefficients_exit_2(tmp_path, capsys, mode):
+    # at P = 1e200 the stationary quadratic's coefficients pass the float
+    # range; at 1e100 they do not, and the optimum is about 2.7107
+    d = bundled_presets()["fig5a"].to_dict()
+    rows = {}
+    for cap in (1e100, 1e200):
+        d["network"]["P"] = cap
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        rows[cap] = (main([mode, "--config", str(p)]), capsys.readouterr())
+    code, (out, err) = rows[1e200]
+    assert code == 2
+    assert err.startswith("model error: the inputs overflow the float range")
+    code, (out, err) = rows[1e100]
+    assert code == 0, err
+    last = out.splitlines()[-1].split(",")
+    r_s = float(last[-1] if mode == "solve" else last[1])
+    assert r_s == pytest.approx(2.7107, abs=2e-4)
