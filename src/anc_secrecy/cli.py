@@ -319,7 +319,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     Path(path).write_text(_render_csv(header, rows), encoding="utf-8", newline="")
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anc-secrecy",
         description="Secure analog-network-coding rates in layered relay networks")
@@ -330,7 +330,15 @@ def main(argv=None) -> int:
         p.add_argument("--preset", help="bundled preset name")
         p.add_argument("--output", help="CSV output path (default: stdout)")
         p.add_argument("--seed", type=int, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: parsing holds no state between calls
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if bool(args.config) == bool(args.preset):

@@ -33,11 +33,8 @@ from .network import (
     RateReport,
     ScalingVector,
     _check_scaling,
-    _pow2_rows,
     _rate_reports,
     cascade,
-    max_scaling_with_layer,
-    rates,
 )
 
 
@@ -119,8 +116,7 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade,
                   P_s=None) -> CoefficientSet:
     """The coefficients with layers 1..M-1 sending as in the cascade c, of
     one point or, elementwise, of a batch of source powers P_s (as in
-    `cascade_layers`); only E, F, lam and what is built from them vary
-    with P_s.
+    `cascade`); only E, F, lam and what is built from them vary with P_s.
 
     The stationary quadratic (in beta_M^2) is built from terms of known sign,
     sign = h_M^2 alpha - h_e^2 nu and slack = n lam E + t excess >= 0, with
@@ -202,7 +198,8 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
     same root and covers B = 0. The sign condition gives cal_A < 0 < cal_C
     (see `_coefficients`), so the root always exists; its denominator is zero
     only without an eavesdropper (h_e = 0), where beta_glb = inf and beta_M
-    clips to its bound.
+    clips to its bound. Raises OverflowError when the discriminant leaves the
+    float range, which would otherwise round beta_glb to 0.
     """
     sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
     if sign <= 0:
@@ -210,11 +207,39 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
                               sign_positive=False)
     cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
     denom = abs(cal_b) + math.sqrt(cal_b ** 2 + 4.0 * abs(cal_a) * cal_c)
+    if math.isinf(denom):
+        raise OverflowError("the layer-M quadratic's root is not finite")
     beta_glb = math.sqrt(2.0 * cal_c / denom) if denom else math.inf
     clipped = beta_glb >= beta_M_max * (1 - 1e-12)
     beta_opt = min(beta_M_max, beta_glb)
     return LayerMSolution(beta_opt=beta_opt, beta_glb=beta_glb, clipped=clipped,
                           sign_positive=True)
+
+
+def _lemma_points(net: LayeredNetwork, P_s: np.ndarray
+                  ) -> tuple[Cascade, Cascade, list[LayerMSolution]]:
+    """The lemma at each source power of the (B,) vector P_s in one batched
+    pass: the all-max cascade, its coefficients, `lemma_beta_M` per point on
+    Python floats, and the cascade with layer M at that optimum. Returns the
+    optimal cascade, the all-max one and layer M's solutions; both cascades
+    pass ScalingVector's checks."""
+    n, he = _require_lemma_network(net)
+    m = net.M - 1
+    allmax = cascade(net, lambda l, bmax: bmax, P_s)
+    coeffs = _coefficients(net, n, he, allmax, P_s)
+    columns = (v.tolist() if isinstance(v, np.ndarray) else [float(v)] * P_s.size
+               for v in (getattr(coeffs, f.name) for f in fields(CoefficientSet)))
+    points = (CoefficientSet(*values) for values in zip(*columns))
+    bounds_m = allmax.bounds[m][:, 0].tolist()
+    sols = [lemma_beta_M(co, net.gain_out(m), he, bmax) for co, bmax in zip(points, bounds_m)]
+    beta_m = np.array([sol.beta_opt for sol in sols])[:, None]
+    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[1], axis=1)
+                  if l == m else bmax, P_s)
+    for c in (allmax, opt):
+        # ScalingVector's checks, on each layer's (B, N_l) rows flattened
+        _check_scaling([b.ravel().tolist() for b in c.betas],
+                       [b.ravel().tolist() for b in c.bounds])
+    return opt, allmax, sols
 
 
 def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
@@ -225,38 +250,17 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
     actual upstream values, so downstream layers still reach full power when
     layer M backs off. h_e = 0 (no eavesdropper) clips layer M to its bound,
     so everything sends at max; a dead path into layer M gives r_s = 0.
+    This is the one-point case of `optimal_rates`.
     """
-    n, he = _require_lemma_network(net)
-    allmax = cascade(net, lambda l, bmax: bmax)
-    m = net.M - 1
-    sol_m = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
-                         float(allmax.bounds[m][0]))
-    sv = max_scaling_with_layer(net, m, sol_m.beta_opt)
-    return LayeredSolution(beta=sv, rate=rates(net, sv), layer_m=sol_m)
+    opt, _, (sol_m,) = _lemma_points(net, np.array([net.P_s]))
+    sv = ScalingVector(beta=[b[0] for b in opt.betas], beta_max=[b[0] for b in opt.bounds])
+    return LayeredSolution(beta=sv, rate=_rate_reports(net, opt)[0], layer_m=sol_m)
 
 
-def optimal_rates(net: LayeredNetwork,
-                  P_s) -> tuple[list[RateReport], list[RateReport]]:
+def optimal_rates(net: LayeredNetwork, P_s) -> tuple[list[RateReport], list[RateReport]]:
     """The optimal and the all-max rates at each source power of the vector
     P_s, in one batched pass. Point for point they equal
     `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
-    net.P_s set to that power: the cascades square by libm pow, and
-    lemma_beta_M and the logs run per point on Python floats."""
-    n, he = _require_lemma_network(net)
-    P_s = np.asarray(P_s, dtype=float)
-    m = net.M - 1
-    allmax = cascade(net, lambda l, bmax: bmax, P_s, _pow2_rows)
-    coeffs = _coefficients(net, n, he, allmax, P_s)
-    columns = (v.tolist() if isinstance(v, np.ndarray) else [float(v)] * P_s.size
-               for v in (getattr(coeffs, f.name) for f in fields(CoefficientSet)))
-    points = (CoefficientSet(*values) for values in zip(*columns))
-    bounds_m = allmax.bounds[m][:, 0].tolist()
-    beta_m = np.array([lemma_beta_M(co, net.gain_out(m), he, bmax).beta_opt
-                       for co, bmax in zip(points, bounds_m)])[:, None]
-    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[1], axis=1)
-                  if l == m else bmax, P_s, _pow2_rows)
-    for c in (allmax, opt):
-        # ScalingVector's checks, on each layer's (B, N_l) rows flattened
-        _check_scaling([b.ravel().tolist() for b in c.betas],
-                       [b.ravel().tolist() for b in c.bounds])
+    net.P_s set to that power, bit for bit."""
+    opt, allmax, _ = _lemma_points(net, np.asarray(P_s, dtype=float))
     return _rate_reports(net, opt), _rate_reports(net, allmax)

@@ -7,7 +7,14 @@ relay layer M. All channel gains between two adjacent layers are equal, so
 every node of a layer sees identical input statistics: a coherent source
 component, a forwarded-noise component common to the whole layer, and its
 own thermal noise. Received powers therefore propagate front-to-back with
-two scalars per layer, which the one kernel `cascade_layers` computes.
+two scalars per layer, which the one kernel `cascade` computes, for one
+point or for a batch of source powers.
+
+Every square of a node sum or of an eavesdropper term is taken as x * x.
+`x ** 2` would square a numpy scalar by libm pow, which is not always
+correctly rounded, and an array by multiplication, which is; x * x is
+correctly rounded in both forms, so a point computed alone and the same
+point inside a batch agree bit for bit.
 """
 from __future__ import annotations
 
@@ -241,17 +248,7 @@ class Cascade(NamedTuple):
         return ScalingVector(beta=self.betas, beta_max=self.bounds)
 
 
-def _pow2(x):
-    return x ** 2
-
-
-def _pow2_rows(t: np.ndarray) -> np.ndarray:
-    # libm pow per element, as the scalar path squares; t * t differs in
-    # the last bit on about 0.1% of inputs
-    return np.array([x ** 2 for x in t.tolist()])
-
-
-def cascade_layers(net: LayeredNetwork, policy, P_s=None, square=_pow2):
+def cascade(net: LayeredNetwork, policy, P_s=None) -> Cascade:
     """The power-propagation kernel: exact front-to-back recursion.
 
     policy(l, bmax) -> betas actually used at layer l, given its bound
@@ -261,19 +258,15 @@ def cascade_layers(net: LayeredNetwork, policy, P_s=None, square=_pow2):
     bound, so none is computed and bmax is None.
 
     Policies returning (B, N_l) arrays, or a (B,) vector P_s of source
-    powers in place of net.P_s, propagate a batch of B points at once.
-    square(s) squares each layer's node sum: the default `**` squares one
-    point's numpy-scalar sum by libm pow, like a float, and a batch's sums
-    by x*x; `_pow2_rows` squares a batch by libm pow, so each of its points
-    equals the point propagated alone.
-
-    Yields (betas, bmax, s_sum, q_sum, sig, fwd) per relay layer, with the
-    powers entering it, then the destination's (sig, fwd) padded with None.
-    Only the current layer is held, so a large batch stays cheap.
+    powers in place of net.P_s, propagate a batch of B points at once. Each
+    layer's node sum is squared as s * s, which is correctly rounded for a
+    numpy scalar and for every element of a batch alike, so each point of a
+    batch equals that point propagated alone, bit for bit.
     """
     s2 = net.sigma2
     sig, fwd = (net.P_s if P_s is None else P_s) * net.h_s ** 2, 0.0
     bounded = callable(policy)
+    layers = []
     for l in range(net.L):
         bmax = None
         if bounded:
@@ -282,19 +275,13 @@ def cascade_layers(net: LayeredNetwork, policy, P_s=None, square=_pow2):
             col = rx[:, None] if isinstance(rx, np.ndarray) else rx
             bmax = np.sqrt(net.layer_power(l) / col)
         b = np.asarray(policy(l, bmax) if bounded else policy[l], dtype=float)
+        s = b.sum(axis=-1)
+        s_sum, q_sum = s * s, (b * b).sum(axis=-1)
+        layers.append((b, bmax, s_sum, q_sum, sig, fwd))
         g = net.gain_out(l) ** 2
-        s_sum = square(b.sum(axis=-1))
-        q_sum = (b ** 2).sum(axis=-1)
-        yield b, bmax, s_sum, q_sum, sig, fwd
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    yield None, None, None, None, sig, fwd
-
-
-def cascade(net: LayeredNetwork, policy, P_s=None, square=_pow2) -> Cascade:
-    """Every record of `cascade_layers`, for one point or a small batch."""
-    records = cascade_layers(net, policy, P_s, square)
-    betas, bounds, s_sum, q_sum, sig, fwd = map(list, zip(*records))
-    return Cascade(betas[:-1], bounds[:-1], s_sum[:-1], q_sum[:-1], sig, fwd)
+    betas, bounds, s_sums, q_sums, sigs, fwds = map(list, zip(*layers))
+    return Cascade(betas, bounds, s_sums, q_sums, sigs + [sig], fwds + [fwd])
 
 
 def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
@@ -331,16 +318,17 @@ def _rate_reports(net: LayeredNetwork, c: Cascade,
                   snooped: Iterable[int] | None = None) -> list[RateReport]:
     """The rates of each point of a cascade, one point's or a batch's (see
     `rates`). The snooped nodes' terms are summed in node order and squared
-    by libm pow, and each point's logs are taken by math.log2, so a point of
-    a batch equals the point alone."""
+    as t * t, and each point's logs are taken by math.log2, so a point of a
+    batch equals the point alone."""
     s2, m = net.sigma2, net.M - 1
     snr_t = np.atleast_1d(c.sig[-1] / (c.fwd[-1] + s2)).tolist()
     snoop = _snooped_nodes(net, snooped)
     if not snoop:
         return [RateReport.from_snrs(t, 0.0) for t in snr_t]
     terms = [np.atleast_1d(c.betas[m][..., i] * net.h_e[i]) for i in snoop]
-    w = _pow2_rows(sum(terms))
-    own = sum(_pow2_rows(t) for t in terms)
+    w = sum(terms)
+    w = w * w
+    own = sum(t * t for t in terms)
     snr_e = (c.sig[m] * w / (c.fwd[m] * w + s2 * own + s2)).tolist()
     return [RateReport.from_snrs(t, e) for t, e in zip(snr_t, snr_e)]
 

@@ -14,8 +14,8 @@ from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
-from .network import (LayeredNetwork, RateReport, ScalingVector, _pow2, _pow2_rows,
-                      _snooped_nodes, cascade, cascade_layers, rates)
+from .network import (LayeredNetwork, RateReport, ScalingVector, _snooped_nodes, cascade,
+                      rates)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per line search; each line also evaluates its two
@@ -89,6 +89,17 @@ class VerificationReport:
     passed: bool
 
 
+def _pow2(x):
+    # a float by libm pow, an array as x * x
+    return x ** 2
+
+
+def _pow2_rows(t: np.ndarray) -> np.ndarray:
+    # libm pow per element, as `_pow2` squares a float; t * t differs in the
+    # last bit on about 0.1% of inputs
+    return np.array([x ** 2 for x in t.tolist()])
+
+
 class _Objective:
     """Exact r_t - r_e (unclamped) over normalized coordinates u in [0,1]^dim.
 
@@ -98,7 +109,8 @@ class _Objective:
     terms squared by pow, math.log2 per point. A batched value therefore
     equals the scalar value bit for bit. A state is (sig, fwd, snr_e)
     entering a layer, so a line search that moves only layer l computes the
-    layers before l once.
+    layers before l once. `scan` runs the same recursion over the coarse
+    scan's candidates, vectorized throughout.
     """
 
     def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
@@ -149,25 +161,12 @@ class _Objective:
         out = self.advance(X, tuple(states.T), l0, self.L, np.sqrt, _pow2_rows)
         return list(map(self.value, zip(*(a.tolist() for a in out))))
 
-
-def _batch_objective(net: LayeredNetwork, snoop: tuple[int, ...], U: np.ndarray) -> np.ndarray:
-    """Vectorized r_t - r_e over a (B, dim) matrix of normalized coordinates."""
-    offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
-    s2, m = net.sigma2, net.M - 1
-    layers = cascade_layers(net, lambda l, bmax: U[:, offs[l]:offs[l + 1]] * bmax)
-    for l, (b, _, _, _, sig, fwd) in enumerate(layers):
-        if l == m:
-            b_m, sig_m, fwd_m = b, sig, fwd
-    snr_t = sig / (fwd + s2)
-    if snoop:
-        idx = list(snoop)
-        t = b_m[:, idx] * np.asarray(net.h_e)[idx]
-        w = t.sum(axis=1) ** 2
-        own = (t ** 2).sum(axis=1)
-        snr_e = sig_m * w / (fwd_m * w + s2 * own + s2)
-    else:
-        snr_e = np.zeros(U.shape[0])
-    return 0.5 * (np.log2(1.0 + snr_t) - np.log2(1.0 + snr_e))
+    def scan(self, U: np.ndarray) -> np.ndarray:
+        """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
+        candidates: the recursion squares by x * x and takes np.log2, so a
+        value may differ from the scalar one in the last bits."""
+        sig, fwd, snr_e = self.advance(U.T, self.start, 0, self.L, np.sqrt)
+        return 0.5 * (np.log2(1.0 + sig / (fwd + self.s2)) - np.log2(1.0 + snr_e))
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
@@ -306,7 +305,8 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         cands.append(fam)
     cands.append(rng.random((_RANDOM_SCAN, dim)))
     U = np.vstack(cands)
-    vals = _batch_objective(net, snoop, U)
+    obj = _Objective(net, snoop)
+    vals = obj.scan(U)
     n_starts = min(cfg.restarts, len(vals))
     order = _top_k(vals, n_starts)
     starts = U[order]
@@ -314,8 +314,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
 
     lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
     lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
-    finals, evals, n_merged = _refine(_Objective(net, snoop), starts, lines,
-                                      _MAX_CYCLES, cfg.refine_tol)
+    finals, evals, n_merged = _refine(obj, starts, lines, _MAX_CYCLES, cfg.refine_tol)
     total_evals = int(U.shape[0]) + evals
 
     best_val = max(v for v, _, _ in finals)

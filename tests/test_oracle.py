@@ -1,5 +1,9 @@
 """Search-oracle behavior: determinism, feasibility, and agreement with the
 closed forms on reference instances."""
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -185,6 +189,9 @@ def test_batched_line_values_equal_scalar_objective(net):
             batched = obj.batch(X, np.repeat(states, ns, axis=0), l)
             scalar = [obj(col) for col in X.T.tolist()]
             assert batched == scalar, (snoop, l, lo, hi)
+            # the coarse scan squares by x * x and takes np.log2: equal up
+            # to rounding
+            np.testing.assert_allclose(obj.scan(X.T), scalar, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("net", RAGGED[2:])
@@ -216,3 +223,33 @@ def test_top_k_matches_stable_argsort():
         for k in range(1, n + 2):
             np.testing.assert_array_equal(_top_k(vals, k),
                                           np.argsort(-vals, kind="stable")[:k])
+
+
+def _pinned_network(d: dict) -> LayeredNetwork:
+    f = float.fromhex
+    return LayeredNetwork(L=d["L"], nodes_per_layer=tuple(d["nodes_per_layer"]),
+                          h_s=f(d["h_s"]), h=tuple(map(f, d["h"])), h_t=f(d["h_t"]),
+                          h_e=tuple(map(f, d["h_e"])), M=d["M"], P_s=f(d["P_s"]),
+                          P=tuple(tuple(map(f, row)) for row in d["P"]),
+                          sigma2=f(d["sigma2"]))
+
+
+def test_oracle_reproduces_its_pins():
+    # seeded diamonds and 2-3 layer networks with per-node caps and h_e and
+    # random snooped subsets; the pins hold every result and diagnostic to
+    # the bit (floats as float.hex)
+    cases = json.loads((Path(__file__).parent / "data" / "oracle_pins.json").read_text())
+    assert len(cases) == 12
+    for case in cases:
+        net = _pinned_network(case["network"])
+        res = maximize_secrecy(net, snooped=case["snooped"],
+                               cfg=SearchConfig(restarts=case["restarts"], seed=case["seed"]))
+        want = case["expect"]
+        for key in ("beta", "beta_max"):
+            rows = getattr(res.beta, key)
+            assert [[b.hex() for b in row] for row in rows] == want[key], case
+        assert {k: v.hex() for k, v in asdict(res.rate).items()} == want["rate"], case
+        diag = res.diagnostics.as_dict()
+        diag["best_objective"] = diag["best_objective"].hex()
+        diag["start_objectives"] = [v.hex() for v in diag["start_objectives"]]
+        assert diag == want["diagnostics"], case

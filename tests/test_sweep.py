@@ -1,4 +1,5 @@
-"""The batched sweep against its per-point definition, cell for cell."""
+"""The batched sweep against its per-point definition, cell for cell, and
+the batched kernel and rates against their points alone, bit for bit."""
 import json
 from dataclasses import replace
 
@@ -12,17 +13,32 @@ from anc_secrecy import (
     beta_max_vector,
     bundled_presets,
     cutset_bound,
+    extract_coefficients,
+    lemma_beta_M,
+    max_scaling_with_layer,
     optimal_scaling,
     rates,
 )
 from anc_secrecy.cli import _fmt, main, run
+from anc_secrecy.layered import optimal_rates
+from anc_secrecy.network import cascade
+
+
+def _point_optimum(net_p: LayeredNetwork):
+    """The lemma's rates at one point, assembled from public parts: the
+    coefficients, layer M's optimum within its all-max bound, and every
+    other layer at maximum."""
+    m = net_p.M - 1
+    sol = lemma_beta_M(extract_coefficients(net_p), net_p.gain_out(m), net_p.common_h_e,
+                       beta_max_vector(net_p).beta[m][0])
+    return rates(net_p, max_scaling_with_layer(net_p, m, sol.beta_opt))
 
 
 def _point_row(net: LayeredNetwork, p_s: float) -> list[str]:
     """One sweep row computed point by point: a fresh network per point,
     the closed form on it, and the all-max rates from its bound vector."""
     net_p = replace(net, P_s=p_s)
-    r_opt = optimal_scaling(net_p).rate.r_s
+    r_opt = _point_optimum(net_p).r_s
     r_allmax = rates(net_p, beta_max_vector(net_p)).r_s
     row = [_fmt(p_s), _fmt(r_opt), _fmt(r_allmax)]
     if net.M < net.L:
@@ -68,6 +84,48 @@ def test_fig5_presets_equal_the_per_point_rows():
         assert rows == [_point_row(cfg.network, p) for p in cfg.sweep.values().tolist()]
 
 
+def _per_node_draw(rng) -> LayeredNetwork:
+    """1-3 layers of ragged widths 1-3 with a cap and, on layer M, an
+    eavesdropper gain per node."""
+    L = int(rng.integers(1, 4))
+    nodes = tuple(int(rng.integers(1, 4)) for _ in range(L))
+    M = int(rng.integers(1, L + 1))
+    return LayeredNetwork(
+        L=L, nodes_per_layer=nodes, h_s=float(rng.uniform(0.05, 1.3)),
+        h=tuple(float(rng.uniform(0.05, 1.3)) for _ in range(L - 1)),
+        h_t=float(rng.uniform(0.05, 1.3)),
+        h_e=tuple(float(rng.uniform(0.02, 1.0)) for _ in range(nodes[M - 1])), M=M,
+        P_s=1.0, P=tuple(tuple(float(rng.uniform(0.1, 30.0)) for _ in range(n)) for n in nodes),
+        sigma2=float(rng.uniform(0.3, 2.0)))
+
+
+def test_batch_points_equal_the_points_alone():
+    # every column of a batched cascade, and every rate of optimal_rates, is
+    # the point computed alone, bit for bit
+    rng = np.random.default_rng(2026)
+    P_s = np.geomspace(1e-2, 1e9, 37)
+    for _ in range(60):
+        net = _per_node_draw(rng)
+        fractions = [rng.random(n) for n in net.nodes_per_layer]
+        for policy in (lambda l, bmax: bmax, lambda l, bmax: fractions[l] * bmax):
+            batch = cascade(net, policy, P_s)
+            for k, p in enumerate(P_s.tolist()):
+                alone = cascade(replace(net, P_s=p), policy)
+                for name, rows, column in zip(batch._fields, batch, alone):
+                    for row, value in zip(rows, column):
+                        # a batch's entries that do not vary (fwd into layer
+                        # 1) stay scalars
+                        point = row[k] if np.ndim(row) else row
+                        assert np.array_equal(point, value), (net, p, name)
+        # the draw made a lemma network: each layer's first cap for the
+        # whole layer, and the first eavesdropper gain for all of layer M
+        lemma = replace(net, h_e=net.h_e[0], P=tuple((row[0],) * len(row) for row in net.P))
+        for p, opt, allmax in zip(P_s.tolist(), *optimal_rates(lemma, P_s)):
+            net_p = replace(lemma, P_s=p)
+            assert opt == _point_optimum(net_p) == optimal_scaling(net_p).rate, (lemma, p)
+            assert allmax == rates(net_p, beta_max_vector(net_p)), (lemma, p)
+
+
 def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
     # P_s h_s^2 passes the float range at the last point only
     d = bundled_presets()["fig5a"].to_dict()
@@ -101,3 +159,28 @@ def test_overflowing_coefficients_exit_2(tmp_path, capsys, mode):
     last = out.splitlines()[-1].split(",")
     r_s = float(last[-1] if mode == "solve" else last[1])
     assert r_s == pytest.approx(2.7107, abs=2e-4)
+
+
+@pytest.mark.parametrize("mode", ["solve", "sweep"])
+def test_overflowing_root_exits_2(tmp_path, capsys, mode):
+    # M = 1 on a 1x1 network: at P = 1e60, sigma2 = 1e-100 the quadratic's
+    # coefficients are finite but its discriminant is not, which would round
+    # beta_M to 0 and print r_s = 0; at P = 1e40, sigma2 = 1e-60 it stays in
+    # range and the optimum is about 0.1926
+    net = {"L": 2, "N": 1, "h_s": 0.5, "h": [0.8], "h_t": 0.6, "h_e": 0.7, "M": 1,
+           "P_s": 1000.0}
+    sweep = {"from": 100.0, "to": 1000.0, "points": 2}
+    outcomes = {}
+    for cap, sigma2 in ((1e60, 1e-100), (1e40, 1e-60)):
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps({"network": {**net, "P": cap, "sigma2": sigma2},
+                                 "mode": mode, "sweep": sweep}), encoding="utf-8")
+        outcomes[cap] = (main([mode, "--config", str(p)]), capsys.readouterr())
+    code, (out, err) = outcomes[1e60]
+    assert code == 2
+    assert err == ("model error: the inputs overflow the float range: "
+                   "the layer-M quadratic's root is not finite\n")
+    code, (out, err) = outcomes[1e40]
+    assert code == 0, err
+    last = out.splitlines()[-1].split(",")
+    assert float(last[-1] if mode == "solve" else last[1]) == pytest.approx(0.1926, abs=1e-4)
