@@ -59,12 +59,15 @@ def _delta_betas(net: LayeredNetwork, delta: float) -> list[float]:
         raise ValueError("delta must be >= 0")
     p_r1 = net.P_s * net.h_s ** 2
     if p_r1 <= 0:
-        raise ValueError("layer 1 receives no signal (P_s h_s^2 = 0)")
+        why = "underflows to 0" if net.P_s and net.h_s else "= 0"
+        raise ValueError(f"layer 1 receives no signal (P_s h_s^2 {why})")
     betas = [math.sqrt(p / ((1.0 + delta) * p_r1))]
     for i in range(2, net.L + 1):
         p_ri = n ** 2 * p * net.h[i - 2] ** 2
         if p_ri <= 0:
-            raise ValueError(f"layer {i} receives no signal (dead hop gain)")
+            why = ("dead hop gain" if not net.h[i - 2] else "relay caps of 0" if not p
+                   else "N^2 P h^2 underflows to 0")
+            raise ValueError(f"layer {i} receives no signal ({why})")
         betas.append(math.sqrt(p / ((1.0 + delta) * p_ri)))
     return betas
 
@@ -94,20 +97,34 @@ def high_snr_scaling(net: LayeredNetwork, delta: float) -> ScalingVector:
     return ScalingVector(beta=tuple((b,) * n for b in betas), beta_max=None)
 
 
+def _half_log_difference(snr_t: float, snr_e: float, offset: float = 0.0) -> float:
+    """max(0, 1/2 (offset + log2(1 + snr_t) - log2(1 + snr_e))), from the log
+    terms rather than the log of their ratio, which is 0 or nan where an SNR
+    overflows. inf where snr_t overflows; 0 where only snr_e does, because
+    then |h_e| > |h_t|, both the cut and the delta-scaled rate are 0, and so
+    is the gap."""
+    if math.isinf(snr_t):
+        return math.inf
+    if math.isinf(snr_e):
+        return 0.0
+    return max(0.0, 0.5 * (offset + math.log2(1.0 + snr_t) - math.log2(1.0 + snr_e)))
+
+
 def cutset_bound(net: LayeredNetwork) -> float:
     """Upper bound on the secrecy capacity from the multiple-access cut
     between the last relay layer (M = L) and the destination / the
     eavesdropper, clamped at 0 because a secrecy capacity is never negative:
 
-        C_cut = max(0, 1/2 log2((1 + P_t/sigma2) / (1 + P_e/sigma2))),
+        C_cut = max(0, 1/2 log2(1 + P_t/sigma2) - 1/2 log2(1 + P_e/sigma2)),
         P_t = N^2 P h_t^2,  P_e = N^2 P h_e^2.
+
+    inf where P_t/sigma2 leaves the float range, 0 where only P_e/sigma2
+    does (see `_half_log_difference`).
     """
     he = _last_layer_he(net)
     coherent = float(np.sqrt(net.layer_power(net.L - 1)).sum()) ** 2
-    p_t = coherent * net.h_t ** 2
-    p_e = coherent * he ** 2
     s2 = net.sigma2
-    return max(0.0, 0.5 * math.log2((1.0 + p_t / s2) / (1.0 + p_e / s2)))
+    return _half_log_difference(coherent * net.h_t ** 2 / s2, coherent * he ** 2 / s2)
 
 
 def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
@@ -157,8 +174,14 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
     """Analytic bound on C_cut minus the delta-scaled achievable secrecy
     rate, valid for L*delta < 1 with the last layer snooped (M = L):
 
-        1/2 log2[ (1/(1-L delta)) (1 + L delta N P h_t^2/sigma2)
-                                / (1 + L delta N P h_e^2/sigma2) ].
+        max(0, 1/2 [ -log2(1 - L delta) + log2(1 + L delta N P h_t^2/sigma2)
+                                        - log2(1 + L delta N P h_e^2/sigma2) ]).
+
+    The derivation bounds the unclamped difference, which goes negative
+    where |h_e| is enough above |h_t|; there C_cut and the delta-scaled
+    rate are both 0, so the gap is 0 and the bound is clamped at 0 like the
+    cut. inf and 0 where the SNR terms leave the float range, as for
+    `cutset_bound`.
     """
     n, p = _uniform(net)
     he = _last_layer_he(net)
@@ -166,10 +189,8 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
     if ld >= 1.0:
         raise ValueError(f"L*delta = {ld:.6g} >= 1: the bound is vacuous")
     s2 = net.sigma2
-    return 0.5 * math.log2(
-        (1.0 / (1.0 - ld))
-        * (1.0 + ld * n * p * net.h_t ** 2 / s2)
-        / (1.0 + ld * n * p * he ** 2 / s2))
+    return _half_log_difference(ld * n * p * net.h_t ** 2 / s2, ld * n * p * he ** 2 / s2,
+                                -math.log2(1.0 - ld))
 
 
 def high_snr_report(net: LayeredNetwork, delta: float) -> HighSnrReport:

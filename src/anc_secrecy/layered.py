@@ -8,16 +8,19 @@ With layers M+1..L transmitting at full power (their bounds adapt to
 whatever layer M sends), the destination SNR is exactly a ratio linear in
 S = (sum beta_M)^2 and Q = sum beta_M^2:
 
-    SNR_t = rho * A * S * h_M^2 / (B * S * h_M^2 + C * Q * h_M^2 + D)
-    SNR_e = rho * E * S * h_e^2 / (F * S * h_e^2 + Q * h_e^2 + 1)
+    SNR_t = A * S * h_M^2 / (B * S * h_M^2 + C * Q * h_M^2 + D)
+    SNR_e = snr * S * h_e^2 / (F * S * h_e^2 + Q * h_e^2 + 1)
 
-E and F come from the upstream propagation; A = alpha*E, B = lam*E + mu*F,
-C = mu and D = nu from a backward recursion over the full-power layers
-(see `extract_coefficients`). The common optimal beta_M then solves a
-quadratic in beta_M^2 whose coefficients generalize the printed two-node
-form to any N. They are computed from terms of known sign, so whenever the
-lemma's sign condition holds the quadratic has cal_A < 0 < cal_C in floating
-point too, and the closed form answers for every network it applies to.
+snr and F, the signal and the forwarded-noise power entering layer M over
+sigma2, come from the upstream propagation; A = alpha*snr,
+B = d1*snr + mu*F, C = mu and D = nu from a backward recursion over the
+full-power layers (see `extract_coefficients`). So the source power enters
+only through these SNRs, never as P_s / sigma2 alone. The common optimal
+beta_M then solves a quadratic in beta_M^2 whose coefficients generalize
+the printed two-node form to any N. They are computed from terms of known
+sign, so whenever the lemma's sign condition holds the quadratic has
+cal_A < 0 < cal_C in floating point too, and the closed form answers for
+every network it applies to.
 """
 from __future__ import annotations
 
@@ -42,17 +45,19 @@ from .network import (
 class CoefficientSet:
     """Reduced-form constants of the layer-M subproblem.
 
-    E, F describe the source side at the given upstream scaling; alpha, lam,
-    mu, nu the downstream compounds; A = alpha*E, B = lam*E + mu*F, C = mu,
-    D = nu the destination-SNR coefficients; cal_A, cal_B, cal_C the
-    stationary-point quadratic coefficients (in beta_M^2) for layer M's
-    width N.
+    snr and F describe the source side at the given upstream scaling: the
+    signal power entering layer M over sigma2 (the lemma's rho E) and the
+    forwarded noise power there over sigma2. alpha, d1 (the lemma's
+    lam / rho), mu and nu are the downstream compounds; A = alpha*snr,
+    B = d1*snr + mu*F, C = mu, D = nu the destination-SNR coefficients;
+    cal_A, cal_B, cal_C the stationary-point quadratic coefficients (in
+    beta_M^2) for layer M's width N.
     """
 
-    E: float
+    snr: float
     F: float
     alpha: float
-    lam: float
+    d1: float
     mu: float
     nu: float
     A: float
@@ -100,38 +105,35 @@ def _require_lemma_network(net: LayeredNetwork) -> tuple[int, float]:
 def extract_coefficients(net: LayeredNetwork) -> CoefficientSet:
     """The layer-M subproblem coefficients by an exact backward recursion.
 
-    Layers 1..M-1 send at their maxima, fixing E and F. Up to the factor
+    Layers 1..M-1 send at their maxima, fixing snr and F. Up to the factor
     1/rx, a full-power layer l > M maps (sig, fwd, 1) linearly to
     (a sig, a fwd + sigma2 q, rx), with a = (sum sqrt P_l)^2 g_l and
     q = (sum P_l) g_l. So the destination's noise plus sigma2 is a linear
     form (d1, d2, d3) in the state leaving layer M: from (0, 1, sigma2), each
     layer L..M+1 steps it to (d1 a + d3, d2 a + d3, sigma2 (d2 q + d3)).
-    Then alpha = prod a, lam = rho d1, mu = d2 and nu = d3 / sigma2.
+    Then alpha = prod a, mu = d2 and nu = d3 / sigma2; d1 is the lemma's
+    lam / rho, which enters the SNRs only as lam E = d1 snr.
     """
     n, he = _require_lemma_network(net)
     return _coefficients(net, n, he, cascade(net, lambda l, bmax: bmax))
 
 
-def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade,
-                  P_s=None) -> CoefficientSet:
+def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> CoefficientSet:
     """The coefficients with layers 1..M-1 sending as in the cascade c, of
-    one point or, elementwise, of a batch of source powers P_s (as in
-    `cascade`); only E, F, lam and what is built from them vary with P_s.
+    one point or, elementwise, of a batch of source powers (as in
+    `cascade`); only snr, F and what is built from them vary with P_s.
 
-    The stationary quadratic (in beta_M^2) is built from terms of known sign,
-    sign = h_M^2 alpha - h_e^2 nu and slack = n lam E + t excess >= 0, with
+    The source power enters only through SNRs, read off c: snr = sig_M /
+    sigma2 (rho E) and F = fwd_M / sigma2. So no P_s / sigma2 is formed on its
+    own, which could overflow while every power and SNR is in range. The
+    stationary quadratic (in beta_M^2) is built from terms of known sign,
+    sign = h_M^2 alpha - h_e^2 nu and slack = n d1 snr + t excess >= 0, with
     t = nF + 1 and excess = mu - alpha stepped beside d2 as excess a + d3.
     So sign > 0 gives cal_A < 0 < cal_C in floating point too. Raises
     OverflowError when the quadratic's coefficients leave the float range.
     """
-    # the source-side compounds: sig_M = P_s E and fwd_M = sigma2 F
-    e_val, f_val = net.h_s ** 2, 0.0
-    for l in range(net.M - 1):
-        g = net.h[l] ** 2
-        e_val *= c.s_sum[l] * g
-        f_val = (f_val * c.s_sum[l] + c.q_sum[l]) * g
-    s2 = net.sigma2
-    rho = (net.P_s if P_s is None else P_s) / s2
+    s2, m = net.sigma2, net.M - 1
+    snr, f_val = c.sig[m] / s2, c.fwd[m] / s2
     downstream = []
     for l in range(net.M, net.L):
         p = net.layer_power(l)
@@ -141,48 +143,33 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade,
     d1, d2, d3, excess = 0.0, 1.0, s2, 0.0
     for a, q in reversed(downstream):
         d1, d2, d3, excess = d1 * a + d3, d2 * a + d3, s2 * (d2 * q + d3), excess * a + d3
-    lam, mu, nu = rho * d1, d2, d3 / s2
+    mu, nu = d2, d3 / s2
 
-    h_m2, he2 = net.gain_out(net.M - 1) ** 2, he ** 2
+    h_m2, he2 = net.gain_out(m) ** 2, he ** 2
     t = n * f_val + 1.0
     sign = h_m2 * alpha - he2 * nu
-    slack = n * lam * e_val + t * excess
-    n_rho_e, n_rho_alpha_e = _n_rho_products(n, rho, alpha, e_val)
+    lam_e = d1 * snr
+    slack = n * lam_e + t * excess
     cal_a = -n ** 2 * h_m2 * he2 * (
-        alpha * t * (t + n_rho_e) * sign
-        + h_m2 * slack * (n * lam * e_val + t * (mu + alpha) + n_rho_alpha_e))
+        alpha * t * (t + n * snr) * sign
+        + h_m2 * slack * (n * lam_e + t * (mu + alpha) + n * alpha * snr))
     cal_b = -2.0 * n * nu * h_m2 * he2 * slack
     cal_c = nu * sign
     if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
         raise OverflowError("the layer-M quadratic's coefficients are not finite")
-    return CoefficientSet(E=e_val, F=f_val, alpha=alpha, lam=lam, mu=mu, nu=nu,
-                          A=alpha * e_val, B=lam * e_val + mu * f_val, C=mu, D=nu,
+    return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu,
+                          A=alpha * snr, B=lam_e + mu * f_val, C=mu, D=nu,
                           cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
 
 
-def _n_rho_products(n: int, rho, alpha: float, e_val):
-    """n rho E and n rho alpha E, multiplied left to right as the lemma
-    writes them. Where n rho alone overflows (P_s / sigma2 near the float
-    limit), both stay in range, because E falls as 1/P_s; there rho E, the
-    SNR entering layer M, is taken first."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_rho = n * rho
-        products = n_rho * e_val, n_rho * alpha * e_val
-    wide = np.isinf(n_rho)
-    if not wide.any():
-        return products
-    rho_e = rho * e_val
-    return np.where(wide, n * rho_e, products[0]), np.where(wide, n * rho_e * alpha, products[1])
-
-
-def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float, rho: float,
+def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float,
                  s_val: float, q_val: float) -> tuple[float, float]:
     """SNR_t and SNR_e rebuilt from the extracted coefficients at given
     S = (sum beta_M)^2 and Q = sum beta_M^2."""
     h_m2, he2 = h_m ** 2, h_e ** 2
-    snr_t = (rho * coeffs.A * s_val * h_m2
+    snr_t = (coeffs.A * s_val * h_m2
              / (coeffs.B * s_val * h_m2 + coeffs.C * q_val * h_m2 + coeffs.D))
-    snr_e = (rho * coeffs.E * s_val * he2
+    snr_e = (coeffs.snr * s_val * he2
              / (coeffs.F * s_val * he2 + q_val * he2 + 1.0))
     return snr_t, snr_e
 
@@ -221,12 +208,13 @@ def _lemma_points(net: LayeredNetwork, P_s: np.ndarray
     """The lemma at each source power of the (B,) vector P_s in one batched
     pass: the all-max cascade, its coefficients, `lemma_beta_M` per point on
     Python floats, and the cascade with layer M at that optimum. Returns the
-    optimal cascade, the all-max one and layer M's solutions; both cascades
-    pass ScalingVector's checks."""
+    optimal cascade, the all-max one and layer M's solutions. Neither
+    cascade is checked here: each caller applies ScalingVector's checks once
+    to the cascades it reports."""
     n, he = _require_lemma_network(net)
     m = net.M - 1
     allmax = cascade(net, lambda l, bmax: bmax, P_s)
-    coeffs = _coefficients(net, n, he, allmax, P_s)
+    coeffs = _coefficients(net, n, he, allmax)
     columns = (v.tolist() if isinstance(v, np.ndarray) else [float(v)] * P_s.size
                for v in (getattr(coeffs, f.name) for f in fields(CoefficientSet)))
     points = (CoefficientSet(*values) for values in zip(*columns))
@@ -235,10 +223,6 @@ def _lemma_points(net: LayeredNetwork, P_s: np.ndarray
     beta_m = np.array([sol.beta_opt for sol in sols])[:, None]
     opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[1], axis=1)
                   if l == m else bmax, P_s)
-    for c in (allmax, opt):
-        # ScalingVector's checks, on each layer's (B, N_l) rows flattened
-        _check_scaling([b.ravel().tolist() for b in c.betas],
-                       [b.ravel().tolist() for b in c.bounds])
     return opt, allmax, sols
 
 
@@ -253,6 +237,9 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
     This is the one-point case of `optimal_rates`.
     """
     opt, _, (sol_m,) = _lemma_points(net, np.array([net.P_s]))
+    # the ScalingVector's checks are the one check of opt. The all-max
+    # cascade is not reported: its layers before M are opt's, and a NaN
+    # bound at layer M reaches opt's beta_M through min().
     sv = ScalingVector(beta=[b[0] for b in opt.betas], beta_max=[b[0] for b in opt.bounds])
     return LayeredSolution(beta=sv, rate=_rate_reports(net, opt)[0], layer_m=sol_m)
 
@@ -263,4 +250,9 @@ def optimal_rates(net: LayeredNetwork, P_s) -> tuple[list[RateReport], list[Rate
     `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
     net.P_s set to that power, bit for bit."""
     opt, allmax, _ = _lemma_points(net, np.asarray(P_s, dtype=float))
+    # ScalingVector's checks, once per cascade, on each layer's (B, N_l) rows
+    # flattened; the all-max betas are their own bounds
+    _check_scaling([b.ravel().tolist() for b in opt.betas],
+                   [b.ravel().tolist() for b in opt.bounds])
+    _check_scaling([b.ravel().tolist() for b in allmax.betas], None)
     return _rate_reports(net, opt), _rate_reports(net, allmax)

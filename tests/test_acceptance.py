@@ -171,14 +171,13 @@ def test_criterion_5_invariant_suite():
 
         # -- coefficient reconstruction, < 1e-10 relative -------------------
         co = extract_coefficients(net)
-        rho = net.P_s / net.sigma2
         h_m = net.gain_out(net.M - 1)
         bmax_m = beta_max_vector(net).beta[net.M - 1][0]
         vec = rng.uniform(0, bmax_m, size=N)
         direct = rates(net, max_scaling_with_layer(net, net.M - 1, vec))
         s_val = float(vec.sum()) ** 2
         q_val = float((vec ** 2).sum())
-        snr_t, _ = reduced_snrs(co, h_m, net.common_h_e, rho, s_val, q_val)
+        snr_t, _ = reduced_snrs(co, h_m, net.common_h_e, s_val, q_val)
         err = abs(snr_t - direct.snr_t) / max(direct.snr_t, 1e-30)
         recon_worst = max(recon_worst, err)
         assert err < 1e-10

@@ -117,6 +117,19 @@ class TestCutset:
         assert cutset_bound(net) == pytest.approx(
             0.5 * math.log2(1 + 4 * 10 * 0.16), rel=1e-12)
 
+    def test_snr_terms_past_the_float_range(self):
+        # N^2 P h^2 / sigma2 passes the float maximum for h = 1e60, where the
+        # ratio of the two terms is 0 or nan: the eavesdropper's term alone
+        # gives 0, the destination's gives inf
+        net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=1e60, P_s=1.0,
+                                     P=1e200, sigma2=1e100)
+        assert cutset_bound(net) == 0.0
+        assert cutset_bound(replace(net, h_t=2e60)) == math.inf
+        # L delta N P h^2 / sigma2 = 1e298 h^2
+        near = replace(net, h_e=(1e6, 1e6), sigma2=1e-100)
+        assert gap_bound(near, 0.005) == 0.0
+        assert gap_bound(replace(near, h_t=2e6), 0.005) == math.inf
+
 
 class TestAchievable:
     def test_single_layer_delta_zero_matches_allmax_diamond(self):
@@ -182,15 +195,17 @@ class TestSandwichAndNoiseBound:
     def test_gap_sandwich(self):
         # 0 <= actual gap <= analytic bound whenever the regime holds
         rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 40:
+        reports = []
+        while len(reports) < 40:
             net = _regime_net(rng)
             delta = float(rng.uniform(0.001, min(0.2, 0.9 / net.L)))
             try:
-                rep = high_snr_report(net, delta)
+                reports.append(high_snr_report(net, delta))
             except RegimeViolationError:
                 continue
-            checked += 1
+        # h_e > h_t: the unclamped bound reads -0.63 beside a gap of 0
+        reports.append(high_snr_report(replace(FIG5A, h_t=0.3, h_e=0.6), 0.005))
+        for rep in reports:
             assert rep.r_s_delta <= rep.c_cut + 1e-9
             assert -1e-9 <= rep.actual_gap <= rep.gap_bound + 1e-9
 
@@ -227,15 +242,23 @@ class TestPlateau:
     (lambda: high_snr_scaling(FIG5A, -0.1), "delta must be >= 0"),
     (lambda: high_snr_scaling(replace(FIG5A, P_s=0.0), 0.005),
      r"layer 1 receives no signal \(P_s h_s\^2 = 0\)"),
+    (lambda: high_snr_scaling(LayeredNetwork.diamond(N=2, h_s=1e-100, h_t=0.5, h_e=0.1,
+                                                     P_s=1e-200, P=1.0, sigma2=1e-300), 0.005),
+     r"layer 1 receives no signal \(P_s h_s\^2 underflows to 0\)"),
     (lambda: high_snr_scaling(replace(FIG5A, h=(0.0,)), 0.005),
      r"layer 2 receives no signal \(dead hop gain\)"),
+    (lambda: high_snr_scaling(replace(FIG5A, P=0.0), 0.005),
+     r"layer 2 receives no signal \(relay caps of 0\)"),
+    (lambda: high_snr_scaling(replace(FIG5A, P=1e-200, h=(1e-100,)), 0.005),
+     r"layer 2 receives no signal \(N\^2 P h\^2 underflows to 0\)"),
     (lambda: achievable_highsnr(replace(FIG5A, h_t=0.0), 0.005),
      r"dead destination gain \(h_t = 0\)"),
     (lambda: snr_e_by_k(LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
                                                 P_s=10.0, P=10.0, sigma2=1.0), 4),
      r"k must be in 0\.\.N")],
     ids=["ragged_width", "per_layer_cap", "negative_delta", "no_source_power",
-         "dead_hop_gain", "dead_destination_gain", "k_out_of_range"])
+         "underflowing_source_signal", "dead_hop_gain", "zero_relay_caps",
+         "underflowing_relay_signal", "dead_destination_gain", "k_out_of_range"])
 def test_guard_messages(call, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call()

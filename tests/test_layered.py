@@ -61,18 +61,19 @@ def capped_draw(rng, per_node_off_m: bool) -> LayeredNetwork:
 
 class TestExtraction:
     def test_diamond_reduction(self):
-        # no downstream layers: alpha = 1, F = 0, mu = nu = 1, lam = 0,
-        # A = E = h_s^2 and the quartic reproduces the diamond form
+        # no downstream layers: alpha = 1, F = 0, mu = nu = 1, d1 = 0,
+        # A = snr = P_s h_s^2 / sigma2 and the quartic reproduces the
+        # diamond form
         net = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=0.2, P_s=5, P=5,
                                      sigma2=1)
         co = extract_coefficients(net)
         assert co.alpha == 1.0
         assert co.F == 0.0
-        assert co.E == pytest.approx(0.36, rel=1e-14)
-        assert co.A == pytest.approx(co.alpha * co.E, rel=1e-14)
+        assert co.snr == pytest.approx(5 * 0.36, rel=1e-14)
+        assert co.A == pytest.approx(co.alpha * co.snr, rel=1e-14)
         assert co.mu == pytest.approx(1.0, rel=1e-10)
         assert co.nu == pytest.approx(1.0, rel=1e-10)
-        assert co.lam == pytest.approx(0.0, abs=1e-10)
+        assert co.d1 == pytest.approx(0.0, abs=1e-10)
         assert co.C == co.mu and co.D == co.nu
 
     def test_reconstruction_at_fresh_points(self):
@@ -83,7 +84,6 @@ class TestExtraction:
         while net.L != 3 or net.uniform_N != 2:
             net = random_ecgal(rng, L_max=3, N_max=2)
         co = extract_coefficients(net)
-        rho = net.P_s / net.sigma2
         h_m = net.gain_out(net.M - 1)
         bounds = beta_max_vector(net)
         bmax_m = bounds.beta[net.M - 1][0]
@@ -93,7 +93,7 @@ class TestExtraction:
             direct = rates(net, sv)
             s_val = float(vec.sum()) ** 2
             q_val = float((vec ** 2).sum())
-            snr_t, snr_e = reduced_snrs(co, h_m, net.common_h_e, rho, s_val, q_val)
+            snr_t, snr_e = reduced_snrs(co, h_m, net.common_h_e, s_val, q_val)
             assert snr_t == pytest.approx(direct.snr_t, rel=1e-10, abs=1e-13)
             assert snr_e == pytest.approx(direct.snr_e, rel=1e-10, abs=1e-13)
 
@@ -104,15 +104,13 @@ class TestExtraction:
         for _ in range(20):
             net = random_ecgal(rng, L_max=3, N_max=1)
             co = extract_coefficients(net)
-            rho = net.P_s / net.sigma2
             h_m = net.gain_out(net.M - 1)
             bmax_m = beta_max_vector(net).beta[net.M - 1][0]
             for _ in range(10):
                 b = float(rng.uniform(0, bmax_m))
                 sv = max_scaling_with_layer(net, net.M - 1, (b,))
                 direct = rates(net, sv)
-                snr_t, snr_e = reduced_snrs(co, h_m, net.common_h_e, rho,
-                                            b ** 2, b ** 2)
+                snr_t, snr_e = reduced_snrs(co, h_m, net.common_h_e, b ** 2, b ** 2)
                 assert snr_t == pytest.approx(direct.snr_t, rel=1e-10, abs=1e-13)
                 assert snr_e == pytest.approx(direct.snr_e, rel=1e-10, abs=1e-13)
 
@@ -125,16 +123,16 @@ class TestExtraction:
             if net.uniform_N != 2:
                 continue
             co = extract_coefficients(net)
-            rho = net.P_s / net.sigma2
             hm2 = net.gain_out(net.M - 1) ** 2
             he2 = net.common_h_e ** 2
             t = 2 * co.F + 1
             cal_c = co.nu * (hm2 * co.alpha - he2 * co.nu)
-            cal_b = 4 * hm2 * he2 * co.nu * ((co.alpha - co.mu) * t - 2 * co.lam * co.E)
+            # the printed form's rho E and lam E are snr and d1 snr
+            cal_b = 4 * hm2 * he2 * co.nu * ((co.alpha - co.mu) * t - 2 * co.d1 * co.snr)
             cal_a = 4 * hm2 * he2 * (
-                he2 * co.alpha * co.nu * t * (t + 2 * rho * co.E)
-                - hm2 * (2 * co.lam * co.E + t * co.mu)
-                * (t * co.mu + 2 * (co.lam + rho * co.alpha) * co.E))
+                he2 * co.alpha * co.nu * t * (t + 2 * co.snr)
+                - hm2 * (2 * co.d1 * co.snr + t * co.mu)
+                * (t * co.mu + 2 * (co.d1 + co.alpha) * co.snr))
             assert co.cal_C == pytest.approx(cal_c, rel=1e-12, abs=1e-300)
             assert co.cal_B == pytest.approx(cal_b, rel=1e-9, abs=1e-18)
             assert co.cal_A == pytest.approx(cal_a, rel=1e-9, abs=1e-18)
@@ -167,7 +165,7 @@ class TestExtraction:
         for _ in range(50):
             net = random_ecgal(rng)
             co = extract_coefficients(net)
-            assert co.E >= 0 and co.F >= 0 and co.alpha >= 0
+            assert co.snr >= 0 and co.F >= 0 and co.alpha >= 0
             assert co.mu >= -1e-9 and co.nu >= -1e-9
 
     def test_coefficients_past_the_float_range_raise(self):
@@ -208,7 +206,7 @@ class TestLemmaBetaM:
 
     def test_barely_positive_sign_gives_sign_free_root(self):
         # at M = L, cal_B = 0 and the root does not depend on the sign:
-        # beta^2 = 1 / (n |h_t h_e| sqrt(t (t + n rho E))), t = nF + 1
+        # beta^2 = 1 / (n |h_t h_e| sqrt(t (t + n snr))), t = nF + 1
         checked = 0
         for net in edge_draws(np.random.default_rng(19), 500):
             sol = optimal_scaling(net)
@@ -216,10 +214,10 @@ class TestLemmaBetaM:
                 continue
             checked += 1
             co = extract_coefficients(net)
-            n, rho = net.uniform_N, net.P_s / net.sigma2
+            n = net.uniform_N
             t = n * co.F + 1
             root = 1 / math.sqrt(n * abs(net.h_t * net.common_h_e)
-                                 * math.sqrt(t * (t + n * rho * co.E)))
+                                 * math.sqrt(t * (t + n * co.snr)))
             assert sol.layer_m.beta_glb == pytest.approx(root, rel=1e-12)
         assert checked > 400
 
@@ -344,6 +342,14 @@ class TestLemmaClass:
             assert closed_form_applies(net)
             rep = verify_against_closed_form(net, cfg=self.CFG)
             assert rep.passed, (net, rep)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_source_power_over_noise_past_the_float_range(self, M):
+        # P_s / sigma2 = 1e400, though every power and SNR is in range
+        net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=1e-160, h=(0.5,), h_t=0.5,
+                             h_e=0.1, M=M, P_s=1e300, P=1e-150, sigma2=1e-100)
+        rep = verify_against_closed_form(net, cfg=self.CFG)
+        assert rep.passed, rep
 
     def test_per_node_caps_off_layer_m_go_to_the_search(self):
         # every layer but M at its maximum is no longer optimal there: the
