@@ -2,13 +2,29 @@
 the secrecy capacity, the exact achievable secrecy rate under delta-scaling,
 and the analytic bound on the gap between the two.
 
-A network is in the delta-high-SNR regime when every relay layer's input SNR
-is at least 1/delta. Each relay then uses beta_i^2 = P / ((1+delta) *
-P_Ri_max) with P_Ri_max the largest possible received signal power at its
-layer (P_s h_s^2 for layer 1, N^2 P h_{i-1}^2 afterwards), which is feasible
-whenever the regime holds. These formulas assume the eavesdropper overhears
-the last layer, where its received powers mirror the destination's scaled by
-h_e^2 / h_t^2.
+The formulas hold on the lemma's class of layered networks as far as it
+concerns the powers: one power cap within each layer, while widths and caps
+may differ between layers. For layer i of width n_i and cap p_i, the largest
+signal power it can receive is P_R1 = P_s h_s^2 for layer 1 and
+P_R(i+1) = n_i^2 p_i h_i^2 afterwards, with h_L = h_t, so that P_R(L+1) is
+the destination's. Each relay of layer i uses beta_i^2 = p_i / ((1+delta)
+P_Ri). Every layer's signal then grows by P_R(i+1) / ((1+delta) P_Ri), so
+the destination receives the signal P_R(L+1) / (1+delta)^L, and the noise
+that layer i adds arrives there as
+
+    P_R(L+1) (sigma2 / P_Ri) / (n_i (1+delta)^(L-i+1)).
+
+A network is in the delta-high-SNR regime when every relay layer's input
+SNR under this scaling is at least 1/delta. That makes the scaling feasible
+and gives sigma2 / P_Ri <= delta, so the noise sums to at most
+P_R(L+1) / min n_i (1 - (1+delta)^-L) by the geometric series (see
+`noise_power_bound` and `gap_bound`). Each noise term is formed from
+sigma2 / P_Ri, which the regime keeps small: sigma2 P_R(L+1) alone can
+overflow.
+
+The cut, the achievable rate and the gap bound also need a common
+eavesdropper gain on the last layer (M = L), where the eavesdropper's
+received powers mirror the destination's scaled by (h_e / h_t)^2.
 """
 from __future__ import annotations
 
@@ -35,12 +51,12 @@ class HighSnrReport:
     gap_bound: float
 
 
-def _uniform(net: LayeredNetwork) -> tuple[int, float]:
-    n = net.uniform_N
-    p = net.uniform_P
-    if n is None or p is None:
-        raise ValueError("high-SNR formulas require uniform layer width and power cap")
-    return n, p
+def _layer_caps(net: LayeredNetwork) -> tuple[float, ...]:
+    """Each layer's one power cap (see `LayeredNetwork.layer_caps`)."""
+    caps = net.layer_caps
+    if None in caps:
+        raise ValueError("high-SNR formulas require one power cap within each layer")
+    return caps
 
 
 def _last_layer_he(net: LayeredNetwork) -> float:
@@ -53,31 +69,35 @@ def _last_layer_he(net: LayeredNetwork) -> float:
     return he
 
 
-def _delta_betas(net: LayeredNetwork, delta: float) -> list[float]:
-    n, p = _uniform(net)
+def _delta_scaling(net: LayeredNetwork, delta: float
+                   ) -> tuple[list[float], list[tuple[float, ...]]]:
+    """P_R1..P_R(L+1) and the delta-scaled betas, one row per layer, after
+    checking the regime. Raises where a relay layer receives no signal."""
+    caps = _layer_caps(net)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    p_r1 = net.P_s * net.h_s ** 2
-    if p_r1 <= 0:
+    p_r = [net.P_s * net.h_s ** 2]
+    if p_r[0] <= 0:
         why = "underflows to 0" if net.P_s and net.h_s else "= 0"
         raise ValueError(f"layer 1 receives no signal (P_s h_s^2 {why})")
-    betas = [math.sqrt(p / ((1.0 + delta) * p_r1))]
-    for i in range(2, net.L + 1):
-        p_ri = n ** 2 * p * net.h[i - 2] ** 2
-        if p_ri <= 0:
-            why = ("dead hop gain" if not net.h[i - 2] else "relay caps of 0" if not p
+    for i, (n, p) in enumerate(zip(net.nodes_per_layer, caps), start=1):
+        p_r.append(n ** 2 * p * net.gain_out(i - 1) ** 2)
+        if i < net.L and p_r[i] <= 0:
+            why = ("dead hop gain" if not net.h[i - 1] else "relay caps of 0" if not p
                    else "N^2 P h^2 underflows to 0")
-            raise ValueError(f"layer {i} receives no signal ({why})")
-        betas.append(math.sqrt(p / ((1.0 + delta) * p_ri)))
-    return betas
+            raise ValueError(f"layer {i + 1} receives no signal ({why})")
+    rows = [(math.sqrt(p / ((1.0 + delta) * p_ri)),) * n
+            for n, p, p_ri in zip(net.nodes_per_layer, caps, p_r)]
+    _check_regime(net, rows, delta)
+    return p_r, rows
 
 
-def _check_regime(net: LayeredNetwork, betas: list[float], delta: float) -> None:
+def _check_regime(net: LayeredNetwork, rows: list[tuple[float, ...]], delta: float) -> None:
     """Input SNR of every layer, under the delta-scaled vector itself, must
     reach 1/delta. Skipped at delta = 0, which is the idealized limit."""
     if delta == 0:
         return
-    c = cascade(net, [(b,) * n for b, n in zip(betas, net.nodes_per_layer)])
+    c = cascade(net, rows)
     for l in range(net.L):
         snr = float(c.sig[l] / (c.fwd[l] + net.sigma2))
         if snr * delta < 1.0 - 1e-9:
@@ -85,16 +105,13 @@ def _check_regime(net: LayeredNetwork, betas: list[float], delta: float) -> None
 
 
 def high_snr_scaling(net: LayeredNetwork, delta: float) -> ScalingVector:
-    """Delta-scaled amplification vector, beta_i^2 = P / ((1+delta) P_Ri_max).
+    """Delta-scaled amplification vector, beta_i^2 = p_i / ((1+delta) P_Ri).
 
     Raises RegimeViolationError naming the first layer whose input SNR falls
     short of 1/delta. At delta = 0 the vector is the maximum coherent
-    scaling, P / P_Ri_max, with no regime check.
+    scaling, p_i / P_Ri, with no regime check.
     """
-    n, _ = _uniform(net)
-    betas = _delta_betas(net, delta)
-    _check_regime(net, betas, delta)
-    return ScalingVector(beta=tuple((b,) * n for b in betas), beta_max=None)
+    return ScalingVector(beta=_delta_scaling(net, delta)[1], beta_max=None)
 
 
 def _half_log_difference(snr_t: float, snr_e: float, offset: float = 0.0) -> float:
@@ -116,7 +133,7 @@ def cutset_bound(net: LayeredNetwork) -> float:
     eavesdropper, clamped at 0 because a secrecy capacity is never negative:
 
         C_cut = max(0, 1/2 log2(1 + P_t/sigma2) - 1/2 log2(1 + P_e/sigma2)),
-        P_t = N^2 P h_t^2,  P_e = N^2 P h_e^2.
+        P_t = (sum sqrt P_L)^2 h_t^2,  P_e = (sum sqrt P_L)^2 h_e^2.
 
     inf where P_t/sigma2 leaves the float range, 0 where only P_e/sigma2
     does (see `_half_log_difference`).
@@ -129,67 +146,79 @@ def cutset_bound(net: LayeredNetwork) -> float:
 
 def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
     """Achievable secrecy rate under delta-scaling, by the closed power
-    formulas (independent of the generic propagation code path):
+    formulas of the module docstring (independent of the generic
+    propagation code path):
 
-      P_st = N^2 P h_t^2 / (1+delta)^L, exact P_zt as the per-layer noise
-      sum, and the eavesdropper's powers mirrored through h_e^2 / h_t^2.
+      P_st = P_R(L+1) / (1+delta)^L, P_zt = sum_i P_R(L+1) (sigma2 / P_Ri)
+      / (n_i (1+delta)^(L-i+1)), and the eavesdropper's powers mirrored
+      through (h_e / h_t)^2, a ratio formed before it scales a power.
 
     Requires the eavesdropper on the last layer (M = L).
     """
-    n, p = _uniform(net)
     he = _last_layer_he(net)
     if net.h_t == 0:
         raise ValueError("dead destination gain (h_t = 0)")
-    betas = _delta_betas(net, delta)
-    _check_regime(net, betas, delta)
+    p_r, _ = _delta_scaling(net, delta)
     s2 = net.sigma2
     L = net.L
-    h_t2 = net.h_t ** 2
-
-    p_st = n ** 2 * p * h_t2 / (1.0 + delta) ** L
-    p_zt = 0.0
-    for i in range(1, L + 1):
-        term = n * betas[i - 1] ** 2 * net.gain_out(i - 1) ** 2
-        for j in range(i + 1, L):
-            term *= (n * betas[j - 1] * net.h[j - 1]) ** 2
-        if i < L:
-            term *= n ** 2 * betas[L - 1] ** 2 * h_t2
-        p_zt += s2 * term
-
-    p_se = p_st * he ** 2 / h_t2
-    p_ze = p_zt * he ** 2 / h_t2
+    p_st = p_r[L] / (1.0 + delta) ** L
+    p_zt = sum(p_r[L] * (s2 / p_ri) / (n * (1.0 + delta) ** (L - i))
+               for i, (n, p_ri) in enumerate(zip(net.nodes_per_layer, p_r)))
+    mirror = (he / net.h_t) ** 2
     snr_t = p_st / (p_zt + s2)
-    snr_e = p_se / (p_ze + s2)
+    snr_e = p_st * mirror / (p_zt * mirror + s2)
     return RateReport.from_snrs(snr_t, snr_e)
+
+
+def _width_factor(net: LayeredNetwork) -> float:
+    """n_L^2 / min n_i: times p_L it takes the place of N P in the uniform
+    network's bounds, and it is exactly N there."""
+    n = net.nodes_per_layer
+    return n[-1] * n[-1] / min(n)
 
 
 def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
     """Upper bound on the total noise power reaching the destination under
-    delta-scaling: N P h_t^2 (1 - (1+delta)^-L)."""
-    n, p = _uniform(net)
-    return n * p * net.h_t ** 2 * (1.0 - (1.0 + delta) ** -net.L)
+    delta-scaling:
+
+        (n_L^2 p_L / min n_i) h_t^2 (1 - (1+delta)^-L),
+
+    N P h_t^2 (1 - (1+delta)^-L) on a uniform network. In the regime
+    sigma2 / P_Ri <= delta, so layer i's noise term is at most
+    P_R(L+1) delta / (min n_i (1+delta)^(L-i+1)), and
+    delta sum_k=1..L (1+delta)^-k = 1 - (1+delta)^-L.
+    """
+    return _width_factor(net) * _layer_caps(net)[-1] * net.h_t ** 2 * (
+        1.0 - (1.0 + delta) ** -net.L)
 
 
 def gap_bound(net: LayeredNetwork, delta: float) -> float:
     """Analytic bound on C_cut minus the delta-scaled achievable secrecy
-    rate, valid for L*delta < 1 with the last layer snooped (M = L):
+    rate, valid for L*delta < 1 with the last layer snooped (M = L). With
+    K = n_L^2 p_L / min n_i (N P on a uniform network):
 
-        max(0, 1/2 [ -log2(1 - L delta) + log2(1 + L delta N P h_t^2/sigma2)
-                                        - log2(1 + L delta N P h_e^2/sigma2) ]).
+        max(0, 1/2 [ -log2(1 - L delta) + log2(1 + L delta K h_t^2/sigma2)
+                                        - log2(1 + L delta K h_e^2/sigma2) ]).
 
-    The derivation bounds the unclamped difference, which goes negative
-    where |h_e| is enough above |h_t|; there C_cut and the delta-scaled
-    rate are both 0, so the gap is 0 and the bound is clamped at 0 like the
-    cut. inf and 0 where the SNR terms leave the float range, as for
+    Derivation, for |h_e| <= |h_t|: with a = P_R(L+1)/sigma2, r =
+    (h_e/h_t)^2, s = (1+delta)^-L >= 1 - L delta and the noise over sigma2
+    z <= a (1 - s) / min n_i <= L delta a / min n_i = Z (see
+    `noise_power_bound`), the gap is 1/2 log2 of
+    (1+a)(1+z)(1+rz+ars) / ((1+z+as)(1+rz)(1+ar)). Its factor
+    (1+z)/(1+rz) grows with z, so it is at most (1+Z)/(1+rZ), and the rest
+    is at most 1/(1 - L delta). Where |h_e| is enough above |h_t| the
+    unclamped bound goes negative; there C_cut and the delta-scaled rate
+    are both 0, so the gap is 0 and the bound is clamped at 0 like the cut.
+    inf and 0 where the SNR terms leave the float range, as for
     `cutset_bound`.
     """
-    n, p = _uniform(net)
     he = _last_layer_he(net)
     ld = net.L * delta
     if ld >= 1.0:
         raise ValueError(f"L*delta = {ld:.6g} >= 1: the bound is vacuous")
+    k = ld * _width_factor(net) * _layer_caps(net)[-1]
     s2 = net.sigma2
-    return _half_log_difference(ld * n * p * net.h_t ** 2 / s2, ld * n * p * he ** 2 / s2,
+    return _half_log_difference(k * net.h_t ** 2 / s2, k * he ** 2 / s2,
                                 -math.log2(1.0 - ld))
 
 

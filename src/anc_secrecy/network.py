@@ -146,9 +146,10 @@ class LayeredNetwork:
         return self.h[l] if l < self.L - 1 else self.h_t
 
     @property
-    def uniform_N(self) -> int | None:
-        ns = set(self.nodes_per_layer)
-        return self.nodes_per_layer[0] if len(ns) == 1 else None
+    def layer_caps(self) -> tuple[float | None, ...]:
+        """Each layer's power cap where its nodes share one, else None. The
+        lemma's class has one cap within each layer."""
+        return tuple(row[0] if len(set(row)) == 1 else None for row in self.P)
 
     @property
     def uniform_P(self) -> float | None:

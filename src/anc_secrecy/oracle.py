@@ -14,6 +14,7 @@ from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
+from .layered import optimal_scaling
 from .network import (LayeredNetwork, RateReport, ScalingVector, _snooped_nodes, cascade,
                       rates)
 
@@ -341,29 +342,18 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
 
 def verify_against_closed_form(net: LayeredNetwork,
                                cfg: SearchConfig | None = None) -> VerificationReport:
-    """Run the closed-form optimizer and the search on the same network.
+    """Run the closed form the CLI prints, `optimal_scaling`, and the search
+    on the same network; kind is "diamond" at L = 1 and "layered" otherwise.
 
     PASS iff the secrecy rates agree within max(1e-4 absolute, 1e-4 relative).
     """
-    from .diamond import diamond_opt
-    from .layered import optimal_scaling
-
-    if net.L == 1:
-        sol = diamond_opt(net)
-        kind = "diamond"
-        rate_closed = sol.rate.r_s
-        beta_closed = np.full(net.nodes_per_layer[0], sol.beta_opt)
-    else:
-        sol = optimal_scaling(net)
-        kind = "layered"
-        rate_closed = sol.rate.r_s
-        beta_closed = sol.beta.flat()
-
+    closed = optimal_scaling(net)
     res = maximize_secrecy(net, cfg=cfg)
-    rate_oracle = res.rate.r_s
+    rate_closed, rate_oracle = closed.rate.r_s, res.rate.r_s
     dev = abs(rate_closed - rate_oracle)
     tol = max(1e-4, 1e-4 * max(abs(rate_closed), abs(rate_oracle)))
-    coord_dev = float(np.max(np.abs(beta_closed - res.beta.flat())))
-    return VerificationReport(kind=kind, rate_closed=rate_closed,
+    coord_dev = float(np.max(np.abs(closed.beta.flat() - res.beta.flat())))
+    return VerificationReport(kind="diamond" if net.L == 1 else "layered",
+                              rate_closed=rate_closed,
                               rate_oracle=rate_oracle, rate_deviation=dev,
                               max_coord_deviation=coord_dev, passed=dev <= tol)

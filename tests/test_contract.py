@@ -52,8 +52,9 @@ def _draw(rng) -> tuple[LayeredNetwork, SweepSpec, float]:
     return net, sweep, float(rng.uniform(0.001, 0.2))
 
 
-def _explicit(net: LayeredNetwork) -> tuple[LayeredNetwork, SweepSpec, float]:
-    return net, SweepSpec("P_s", net.P_s * 1e-8, net.P_s, 4, "log"), 0.005
+def _explicit(net: LayeredNetwork, delta: float = 0.005
+              ) -> tuple[LayeredNetwork, SweepSpec, float]:
+    return net, SweepSpec("P_s", net.P_s * 1e-8, net.P_s, 4, "log"), delta
 
 
 def _item4(M: int) -> LayeredNetwork:
@@ -79,6 +80,15 @@ EXPLICIT = [
         h_t=1.4124211425024136, h_e=2.501804066288949e+127, M=1,
         P_s=4.890247384637787e+135, P=1.4831463870007775,
         sigma2=2.1296896541799853e-70)), {"highsnr": 0}),
+    # h_e^2 P_st overflows where (h_e / h_t)^2 P_st does not
+    ("highsnr_eavesdropper_mirror_overflows", _explicit(LayeredNetwork(
+        L=1, nodes_per_layer=(3,), h_s=1.1758485097056415, h=(),
+        h_t=1.0331283982284635e+131, h_e=9.660423375518073e+84, M=1,
+        P_s=3.045258915512524e+69, P=5.769042870023556, sigma2=1.194726537771718),
+        0.16430661573657815), {"highsnr": 0}),
+    ("highsnr_ragged_per_layer_caps", _explicit(LayeredNetwork(
+        L=2, nodes_per_layer=(2, 3), h_s=0.689, h=(0.603,), h_t=0.203, h_e=0.031, M=2,
+        P_s=5e8, P=[[500.0] * 2, [400.0] * 3], sigma2=1.0)), {"highsnr": 0}),
 ]
 
 
@@ -108,6 +118,10 @@ def _check(name, mode, net, code, out, err):
             assert (r[3] != "") == (net.M == net.L), (where, r)
             if r[3]:
                 assert float(r[3]) >= r_opt - 1e-9, (where, r)
+    if mode == "highsnr":
+        _, c_cut, r_s, gap, bound = map(float, rows[0])
+        assert r_s <= c_cut + 1e-9, (where, rows)
+        assert -1e-9 <= gap <= bound + 1e-9, (where, rows)
 
 
 def test_cli_contract_on_seeded_extreme_configs(tmp_path, capsys):

@@ -40,6 +40,24 @@ def _regime_net(rng):
         sigma2=1.0)
 
 
+def _ragged_regime_net(rng):
+    """Random net of the lemma's class with last-layer snoop, h_t > h_e and
+    strong powers: L 1-4, widths 1-4 and one cap drawn per layer."""
+    L = int(rng.integers(1, 5))
+    widths = tuple(int(rng.integers(1, 5)) for _ in range(L))
+    return LayeredNetwork(
+        L=L, nodes_per_layer=widths,
+        h_s=float(rng.uniform(0.3, 1.2)),
+        h=tuple(float(rng.uniform(0.3, 1.2)) for _ in range(L - 1)),
+        h_t=float(rng.uniform(0.35, 1.2)), h_e=float(rng.uniform(0.02, 0.3)), M=L,
+        P_s=float(rng.uniform(5e3, 5e5)),
+        P=[[float(rng.uniform(5e2, 5e3))] * n for n in widths], sigma2=1.0)
+
+
+GENERATORS = pytest.mark.parametrize("make", [_regime_net, _ragged_regime_net],
+                                     ids=["uniform", "ragged"])
+
+
 class TestDeltaScaling:
     def test_delta_zero_is_max_coherent(self):
         sv = high_snr_scaling(FIG5A, 0.0)
@@ -63,11 +81,12 @@ class TestDeltaScaling:
             high_snr_scaling(weak, 0.005)
         assert err.value.layer == 1
 
-    def test_feasibility_chain_within_bounds(self):
+    @GENERATORS
+    def test_feasibility_chain_within_bounds(self, make):
         # in-regime delta scaling never exceeds the true cascaded bounds
         rng = np.random.default_rng(8)
         for _ in range(40):
-            net = _regime_net(rng)
+            net = make(rng)
             delta = float(rng.uniform(0.001, 0.05))
             try:
                 sv = high_snr_scaling(net, delta)
@@ -76,7 +95,7 @@ class TestDeltaScaling:
             flow = propagate(net, sv)
             for l in range(net.L):
                 tx = sv.beta[l][0] ** 2 * flow.rx_power[l]
-                assert tx <= net.uniform_P * (1 + 1e-12)
+                assert tx <= net.layer_caps[l] * (1 + 1e-12)
 
     def test_source_power_invariance_of_signal(self):
         # the delta-scaled source power at the destination does not depend
@@ -143,12 +162,13 @@ class TestAchievable:
         direct = rates(net, beta_max_vector(net))
         assert rep.r_s == pytest.approx(direct.r_s, rel=2e-3)
 
-    def test_two_paths_agree(self):
+    @GENERATORS
+    def test_two_paths_agree(self, make):
         # formula-based quantities equal the generic propagation evaluation
         rng = np.random.default_rng(19)
         checked = 0
         while checked < 30:
-            net = _regime_net(rng)
+            net = make(rng)
             delta = float(rng.uniform(0.0, 0.05))
             try:
                 formula = achievable_highsnr(net, delta)
@@ -192,12 +212,13 @@ class TestGapBound:
 
 
 class TestSandwichAndNoiseBound:
-    def test_gap_sandwich(self):
+    @GENERATORS
+    def test_gap_sandwich(self, make):
         # 0 <= actual gap <= analytic bound whenever the regime holds
         rng = np.random.default_rng(23)
         reports = []
         while len(reports) < 40:
-            net = _regime_net(rng)
+            net = make(rng)
             delta = float(rng.uniform(0.001, min(0.2, 0.9 / net.L)))
             try:
                 reports.append(high_snr_report(net, delta))
@@ -209,11 +230,12 @@ class TestSandwichAndNoiseBound:
             assert rep.r_s_delta <= rep.c_cut + 1e-9
             assert -1e-9 <= rep.actual_gap <= rep.gap_bound + 1e-9
 
-    def test_noise_power_bound(self):
+    @GENERATORS
+    def test_noise_power_bound(self, make):
         rng = np.random.default_rng(29)
         checked = 0
         while checked < 40:
-            net = _regime_net(rng)
+            net = make(rng)
             delta = float(rng.uniform(0.001, 0.05))
             try:
                 sv = high_snr_scaling(net, delta)
@@ -222,6 +244,19 @@ class TestSandwichAndNoiseBound:
             checked += 1
             flow = propagate(net, sv)
             assert flow.dest_noise <= noise_power_bound(net, delta) * (1 + 1e-12)
+
+    def test_bounds_need_the_narrowest_layer(self):
+        # layer 1 (one node) sits near the regime's edge, sigma2 / P_R1 =
+        # 1/101 against delta = 0.01, so its noise term nearly reaches
+        # P_R3 delta / n_1; a bound over n_L = 4 instead of min n_i = 1
+        # would fall below the noise and below the gap
+        net = LayeredNetwork(L=2, nodes_per_layer=(1, 4), h_s=1.0, h=(1.0,), h_t=1.0,
+                             h_e=0.1, M=2, P_s=101.0, P=((1e6,), (1.0,) * 4),
+                             sigma2=1.0)
+        flow = propagate(net, high_snr_scaling(net, 0.01))
+        assert flow.dest_noise <= noise_power_bound(net, 0.01)
+        rep = high_snr_report(net, 0.01)
+        assert 0.0 <= rep.actual_gap <= rep.gap_bound
 
 
 class TestPlateau:
@@ -234,11 +269,25 @@ class TestPlateau:
         assert plateau_index([1.0, 2.0, 3.0], rel_slope=1e-4) is None
 
 
+@pytest.mark.parametrize("net", [
+    replace(FIG5A, nodes_per_layer=(2, 3), h_e=0.031, P=500.0),
+    replace(FIG5A, P=((500.0, 500.0), (400.0, 400.0)))],
+    ids=["ragged_width", "per_layer_cap"])
+def test_lemma_class_networks_succeed(net):
+    # widths and caps that differ between layers are in the lemma's class
+    rep = high_snr_report(net, 0.005)
+    assert rep.r_s_delta <= rep.c_cut + 1e-9
+    assert -1e-9 <= rep.actual_gap <= rep.gap_bound + 1e-9
+    formula = achievable_highsnr(net, 0.005)
+    direct = rates(net, high_snr_scaling(net, 0.005))
+    assert formula.r_s == pytest.approx(direct.r_s, rel=1e-10)
+    flow = propagate(net, high_snr_scaling(net, 0.005))
+    assert flow.dest_noise <= noise_power_bound(net, 0.005)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: high_snr_scaling(replace(FIG5A, nodes_per_layer=(2, 3), h_e=0.031, P=500.0), 0.005),
-     "high-SNR formulas require uniform layer width and power cap"),
-    (lambda: high_snr_scaling(replace(FIG5A, P=((500.0, 500.0), (400.0, 400.0))), 0.005),
-     "high-SNR formulas require uniform layer width and power cap"),
+    (lambda: high_snr_scaling(replace(FIG5A, P=((500.0, 400.0), (500.0, 500.0))), 0.005),
+     "high-SNR formulas require one power cap within each layer"),
     (lambda: high_snr_scaling(FIG5A, -0.1), "delta must be >= 0"),
     (lambda: high_snr_scaling(replace(FIG5A, P_s=0.0), 0.005),
      r"layer 1 receives no signal \(P_s h_s\^2 = 0\)"),
@@ -256,7 +305,7 @@ class TestPlateau:
     (lambda: snr_e_by_k(LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
                                                 P_s=10.0, P=10.0, sigma2=1.0), 4),
      r"k must be in 0\.\.N")],
-    ids=["ragged_width", "per_layer_cap", "negative_delta", "no_source_power",
+    ids=["unequal_caps_in_layer", "negative_delta", "no_source_power",
          "underflowing_source_signal", "dead_hop_gain", "zero_relay_caps",
          "underflowing_relay_signal", "dead_destination_gain", "k_out_of_range"])
 def test_guard_messages(call, message):

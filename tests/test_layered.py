@@ -81,14 +81,14 @@ class TestExtraction:
         # fresh layer-M vectors, 1e-10 relative
         rng = np.random.default_rng(7)
         net = random_ecgal(rng, L_max=3, N_max=2)
-        while net.L != 3 or net.uniform_N != 2:
+        while net.L != 3 or net.nodes_per_layer[0] != 2:
             net = random_ecgal(rng, L_max=3, N_max=2)
         co = extract_coefficients(net)
         h_m = net.gain_out(net.M - 1)
         bounds = beta_max_vector(net)
         bmax_m = bounds.beta[net.M - 1][0]
         for _ in range(100):
-            vec = rng.uniform(0, bmax_m, size=net.uniform_N)
+            vec = rng.uniform(0, bmax_m, size=net.nodes_per_layer[0])
             sv = max_scaling_with_layer(net, net.M - 1, vec)
             direct = rates(net, sv)
             s_val = float(vec.sum()) ** 2
@@ -120,7 +120,7 @@ class TestExtraction:
         rng = np.random.default_rng(21)
         for _ in range(20):
             net = random_ecgal(rng, L_max=3, N_max=2)
-            if net.uniform_N != 2:
+            if net.nodes_per_layer[0] != 2:
                 continue
             co = extract_coefficients(net)
             hm2 = net.gain_out(net.M - 1) ** 2
@@ -214,7 +214,7 @@ class TestLemmaBetaM:
                 continue
             checked += 1
             co = extract_coefficients(net)
-            n = net.uniform_N
+            n = net.nodes_per_layer[0]
             t = n * co.F + 1
             root = 1 / math.sqrt(n * abs(net.h_t * net.common_h_e)
                                  * math.sqrt(t * (t + n * co.snr)))
@@ -309,7 +309,7 @@ class TestOptimalScaling:
             checked += 1
             m = net.M - 1
             base = [list(row) for row in sol.beta.beta]
-            for n in range(net.uniform_N):
+            for n in range(net.nodes_per_layer[0]):
                 grads = []
                 for s in (+1e-6, -1e-6):
                     vec = list(base[m])
