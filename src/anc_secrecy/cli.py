@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +224,6 @@ def bundled_presets() -> dict[str, ExperimentConfig]:
 # mode implementations
 # ---------------------------------------------------------------------------
 def _fmt(x) -> str:
-    x = float(x)
     if not math.isfinite(x):
         raise OverflowError(f"a result is {x}")
     return f"{x:.9g}"
@@ -237,17 +236,10 @@ def _beta_columns(net: LayeredNetwork) -> list[str]:
 
 def run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     net = cfg.network
-    if closed_form_applies(net):
-        sol = optimal_scaling(net)
-        beta, report = sol.beta, sol.rate
-    else:
-        res = maximize_secrecy(net, cfg=SearchConfig(seed=cfg.seed))
-        beta, report = res.beta, res.rate
+    sol = (optimal_scaling(net) if closed_form_applies(net)
+           else maximize_secrecy(net, cfg=SearchConfig(seed=cfg.seed)))
     header = _beta_columns(net) + ["snr_t", "snr_e", "r_t", "r_e", "r_s"]
-    row = [_fmt(b) for b in beta.flat()] + [
-        _fmt(report.snr_t), _fmt(report.snr_e),
-        _fmt(report.r_t), _fmt(report.r_e), _fmt(report.r_s)]
-    return header, [row]
+    return header, [[_fmt(x) for x in (*sol.beta.flat(), *astuple(sol.rate))]]
 
 
 def _bitmask(subset, width: int) -> str:
@@ -278,19 +270,16 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     cut = net.M == net.L and closed_form_applies(net)
     c_cut = cutset_bound(net) if cut else None
     c_cell = _fmt(c_cut) if cut else ""
-    rows = []
-    for p_s, opt, allmax in zip(values.tolist(), *optimal_rates(net, values)):
-        gap = _fmt(c_cut - allmax.r_s) if cut else ""
-        rows.append([_fmt(p_s), _fmt(opt.r_s), _fmt(allmax.r_s), c_cell, gap])
-    return header, rows
+    opt, allmax = optimal_rates(net, values)
+    return header, [[_fmt(p_s), _fmt(r_opt), _fmt(r_allmax), c_cell,
+                     _fmt(c_cut - r_allmax) if cut else ""]
+                    for p_s, r_opt, r_allmax in zip(values.tolist(), opt.r_s, allmax.r_s)]
 
 
 def run_highsnr(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     report = high_snr_report(cfg.network, cfg.delta)
     header = ["delta", "c_cut", "r_s_delta", "actual_gap", "gap_bound"]
-    row = [_fmt(report.delta), _fmt(report.c_cut), _fmt(report.r_s_delta),
-           _fmt(report.actual_gap), _fmt(report.gap_bound)]
-    return header, [row]
+    return header, [[_fmt(x) for x in astuple(report)]]
 
 
 _RUNNERS = {"solve": run_solve, "subset": run_subset,
@@ -303,7 +292,7 @@ def run(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         header, rows = _RUNNERS[cfg.mode](cfg)
     if cfg.output:
-        _write_csv(cfg.output, header, rows)
+        Path(cfg.output).write_text(_render_csv(header, rows), encoding="utf-8", newline="")
     return header, rows
 
 
@@ -313,10 +302,6 @@ def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    Path(path).write_text(_render_csv(header, rows), encoding="utf-8", newline="")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -351,11 +336,9 @@ def main(argv=None) -> int:
             cfg = presets[args.preset]
         else:
             cfg = load_config(args.config)
-        cfg = replace(cfg, mode=args.mode)
-        if args.output is not None:
-            cfg = replace(cfg, output=args.output)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        flags = {"output": args.output, "seed": args.seed}
+        cfg = replace(cfg, mode=args.mode,
+                      **{key: value for key, value in flags.items() if value is not None})
         header, rows = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

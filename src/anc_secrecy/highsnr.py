@@ -177,6 +177,13 @@ def _width_factor(net: LayeredNetwork) -> float:
     return n[-1] * n[-1] / min(n)
 
 
+def _bound_delta(delta: float) -> None:
+    """The bounds rest on the regime sigma2 / P_Ri <= delta, which is checked
+    only at delta > 0; at delta = 0 they are not bounds."""
+    if not delta > 0:
+        raise ValueError(f"delta = {delta:.6g}: the bounds need delta > 0")
+
+
 def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
     """Upper bound on the total noise power reaching the destination under
     delta-scaling:
@@ -186,8 +193,9 @@ def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
     N P h_t^2 (1 - (1+delta)^-L) on a uniform network. In the regime
     sigma2 / P_Ri <= delta, so layer i's noise term is at most
     P_R(L+1) delta / (min n_i (1+delta)^(L-i+1)), and
-    delta sum_k=1..L (1+delta)^-k = 1 - (1+delta)^-L.
+    delta sum_k=1..L (1+delta)^-k = 1 - (1+delta)^-L. Raises for delta <= 0.
     """
+    _bound_delta(delta)
     return _width_factor(net) * _layer_caps(net)[-1] * net.h_t ** 2 * (
         1.0 - (1.0 + delta) ** -net.L)
 
@@ -210,9 +218,10 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
     unclamped bound goes negative; there C_cut and the delta-scaled rate
     are both 0, so the gap is 0 and the bound is clamped at 0 like the cut.
     inf and 0 where the SNR terms leave the float range, as for
-    `cutset_bound`.
+    `cutset_bound`. Raises for delta <= 0, where the regime is not checked.
     """
     he = _last_layer_he(net)
+    _bound_delta(delta)
     ld = net.L * delta
     if ld >= 1.0:
         raise ValueError(f"L*delta = {ld:.6g} >= 1: the bound is vacuous")
@@ -224,7 +233,9 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
 
 def high_snr_report(net: LayeredNetwork, delta: float) -> HighSnrReport:
     """Cutset bound, delta-scaled achievable rate, actual gap, and the
-    analytic gap bound in one record."""
+    analytic gap bound in one record. Raises for delta <= 0, as the gap
+    bound does."""
+    _bound_delta(delta)
     c_cut = cutset_bound(net)
     r_s = achievable_highsnr(net, delta).r_s
     return HighSnrReport(delta=delta, c_cut=c_cut, r_s_delta=r_s,

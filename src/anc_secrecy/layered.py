@@ -25,7 +25,7 @@ every network it applies to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from .network import (
     Cascade,
     LayeredNetwork,
+    RateColumns,
     RateReport,
     ScalingVector,
     _check_scaling,
@@ -71,6 +72,9 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class LayerMSolution:
+    """Layer M's common optimum (see `lemma_beta_M`): floats for one point,
+    (B,) arrays for a batch, with one sign_positive either way."""
+
     beta_opt: float
     beta_glb: float
     clipped: bool
@@ -175,55 +179,61 @@ def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float,
 
 
 def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
-                 beta_M_max: float) -> LayerMSolution:
+                 beta_M_max: float | np.ndarray) -> LayerMSolution:
     """Common optimal scaling for the snooped layer's nodes.
 
     When h_M^2 alpha - h_e^2 nu > 0 the interior stationary point is
     beta_glb^2 = (|B|/2|A|)(sqrt(1 + 4|A|C/B^2) - 1) in the quadratic's
     coefficients, clipped at beta_M_max; otherwise zero is optimal. The
     rationalized form 2C / (|B| + sqrt(B^2 + 4|A|C)) is used, which is the
-    same root and covers B = 0. The sign condition gives cal_A < 0 < cal_C
-    (see `_coefficients`), so the root always exists; its denominator is zero
-    only without an eavesdropper (h_e = 0), where beta_glb = inf and beta_M
-    clips to its bound. Raises OverflowError when the discriminant leaves the
-    float range, which would otherwise round beta_glb to 0.
+    same root and covers B = 0; B^2 is formed as B * B, the squaring rule of
+    `network`. The sign condition gives cal_A < 0 < cal_C (see
+    `_coefficients`), so the root always exists. Its denominator is zero
+    without an eavesdropper (h_e = 0), or where the coefficients underflow
+    to 0; then beta_glb = inf and beta_M clips to its bound. Raises
+    OverflowError when the discriminant leaves the float range, which would
+    otherwise round beta_glb to 0.
+
+    Elementwise over a batch: coeffs as `_coefficients` returns it for a
+    batch and a (B,) beta_M_max give a LayerMSolution of (B,) arrays, but
+    one sign_positive, since the sign does not depend on P_s. A point gets
+    floats.
     """
     sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
+    bmax = np.asarray(beta_M_max, dtype=float)
     if sign <= 0:
-        return LayerMSolution(beta_opt=0.0, beta_glb=0.0, clipped=False,
-                              sign_positive=False)
-    cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
-    denom = abs(cal_b) + math.sqrt(cal_b ** 2 + 4.0 * abs(cal_a) * cal_c)
-    if math.isinf(denom):
-        raise OverflowError("the layer-M quadratic's root is not finite")
-    beta_glb = math.sqrt(2.0 * cal_c / denom) if denom else math.inf
-    clipped = beta_glb >= beta_M_max * (1 - 1e-12)
-    beta_opt = min(beta_M_max, beta_glb)
-    return LayerMSolution(beta_opt=beta_opt, beta_glb=beta_glb, clipped=clipped,
-                          sign_positive=True)
+        beta_opt = beta_glb = np.zeros_like(bmax)
+    else:
+        cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            denom = np.abs(cal_b) + np.sqrt(cal_b * cal_b + 4.0 * np.abs(cal_a) * cal_c)
+            beta_glb = np.where(denom > 0, np.sqrt(2.0 * cal_c / denom), np.inf)
+        if np.isinf(denom).any():
+            raise OverflowError("the layer-M quadratic's root is not finite")
+        beta_opt = np.minimum(bmax, beta_glb)
+    clipped = (sign > 0) & (beta_glb >= bmax * (1 - 1e-12))
+    if bmax.ndim:
+        return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
+    return LayerMSolution(float(beta_opt), float(beta_glb), bool(clipped), sign > 0)
 
 
-def _lemma_points(net: LayeredNetwork, P_s: np.ndarray
-                  ) -> tuple[Cascade, Cascade, list[LayerMSolution]]:
+def _lemma_points(net: LayeredNetwork, P_s: np.ndarray | None = None
+                  ) -> tuple[Cascade, Cascade, LayerMSolution]:
     """The lemma at each source power of the (B,) vector P_s in one batched
-    pass: the all-max cascade, its coefficients, `lemma_beta_M` per point on
-    Python floats, and the cascade with layer M at that optimum. Returns the
-    optimal cascade, the all-max one and layer M's solutions. Neither
-    cascade is checked here: each caller applies ScalingVector's checks once
-    to the cascades it reports."""
+    pass, or at net.P_s alone when P_s is None: the all-max cascade, its
+    coefficients, `lemma_beta_M` over them, and the cascade with layer M at
+    that optimum. Returns the optimal cascade, the all-max one and layer M's
+    solution. Neither cascade is checked here: each caller applies
+    ScalingVector's checks once to the cascades it reports."""
     n, he = _require_lemma_network(net)
     m = net.M - 1
     allmax = cascade(net, lambda l, bmax: bmax, P_s)
-    coeffs = _coefficients(net, n, he, allmax)
-    columns = (v.tolist() if isinstance(v, np.ndarray) else [float(v)] * P_s.size
-               for v in (getattr(coeffs, f.name) for f in fields(CoefficientSet)))
-    points = (CoefficientSet(*values) for values in zip(*columns))
-    bounds_m = allmax.bounds[m][:, 0].tolist()
-    sols = [lemma_beta_M(co, net.gain_out(m), he, bmax) for co, bmax in zip(points, bounds_m)]
-    beta_m = np.array([sol.beta_opt for sol in sols])[:, None]
-    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[1], axis=1)
+    sol = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
+                       allmax.bounds[m][..., 0])
+    beta_m = np.asarray(sol.beta_opt)[..., None]
+    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[-1], axis=-1)
                   if l == m else bmax, P_s)
-    return opt, allmax, sols
+    return opt, allmax, sol
 
 
 def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
@@ -236,23 +246,22 @@ def optimal_scaling(net: LayeredNetwork) -> LayeredSolution:
     so everything sends at max; a dead path into layer M gives r_s = 0.
     This is the one-point case of `optimal_rates`.
     """
-    opt, _, (sol_m,) = _lemma_points(net, np.array([net.P_s]))
+    opt, _, sol_m = _lemma_points(net)
     # the ScalingVector's checks are the one check of opt. The all-max
     # cascade is not reported: its layers before M are opt's, and a NaN
-    # bound at layer M reaches opt's beta_M through min().
-    sv = ScalingVector(beta=[b[0] for b in opt.betas], beta_max=[b[0] for b in opt.bounds])
-    return LayeredSolution(beta=sv, rate=_rate_reports(net, opt)[0], layer_m=sol_m)
+    # bound at layer M reaches opt's beta_M through the minimum.
+    return LayeredSolution(beta=opt.scaling(), rate=_rate_reports(net, opt).point(),
+                           layer_m=sol_m)
 
 
-def optimal_rates(net: LayeredNetwork, P_s) -> tuple[list[RateReport], list[RateReport]]:
+def optimal_rates(net: LayeredNetwork, P_s) -> tuple[RateColumns, RateColumns]:
     """The optimal and the all-max rates at each source power of the vector
-    P_s, in one batched pass. Point for point they equal
+    P_s, in one batched pass, as columns. Point for point they equal
     `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
     net.P_s set to that power, bit for bit."""
     opt, allmax, _ = _lemma_points(net, np.asarray(P_s, dtype=float))
-    # ScalingVector's checks, once per cascade, on each layer's (B, N_l) rows
-    # flattened; the all-max betas are their own bounds
-    _check_scaling([b.ravel().tolist() for b in opt.betas],
-                   [b.ravel().tolist() for b in opt.bounds])
-    _check_scaling([b.ravel().tolist() for b in allmax.betas], None)
+    # ScalingVector's checks, once per cascade, on each layer's (B, N_l)
+    # rows; the all-max betas are their own bounds
+    _check_scaling(opt.betas, opt.bounds)
+    _check_scaling(allmax.betas, None)
     return _rate_reports(net, opt), _rate_reports(net, allmax)

@@ -10,11 +10,12 @@ own thermal noise. Received powers therefore propagate front-to-back with
 two scalars per layer, which the one kernel `cascade` computes, for one
 point or for a batch of source powers.
 
-Every square of a node sum or of an eavesdropper term is taken as x * x.
-`x ** 2` would square a numpy scalar by libm pow, which is not always
-correctly rounded, and an array by multiplication, which is; x * x is
-correctly rounded in both forms, so a point computed alone and the same
-point inside a batch agree bit for bit.
+Every square of a node sum or of an eavesdropper term is taken as x * x,
+and so is cal_B in the discriminant of the lemma's quadratic
+(`layered.lemma_beta_M`). `x ** 2` would square a numpy scalar by libm pow,
+which is not always correctly rounded, and an array by multiplication,
+which is; x * x is correctly rounded in both forms, so a point computed
+alone and the same point inside a batch agree bit for bit.
 """
 from __future__ import annotations
 
@@ -36,10 +37,6 @@ class RegimeViolationError(ValueError):
         super().__init__(
             f"layer {layer} input SNR {snr:.6g} is below 1/delta = {1.0 / delta:.6g}"
         )
-
-
-def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
 
 
 def _number(key: str, value, depth: int = 0, integer: bool = False):
@@ -163,19 +160,22 @@ class LayeredNetwork:
 
 
 def _check_scaling(beta, beta_max) -> None:
-    """ScalingVector's rules on rows of floats, one per layer: every beta
-    finite and >= 0, and within its bound (up to 1e-9 relative, 1e-15
-    absolute) when the bounds are given."""
-    for row in beta:
-        if any(not math.isfinite(b) or b < 0 for b in row):
-            raise ValueError("scaling factors must be finite and >= 0")
+    """ScalingVector's rules on rows of floats or arrays, one per layer (a
+    batch's rows are (B, N_l)): every beta finite and >= 0, and within its
+    bound (up to 1e-9 relative, 1e-15 absolute) when the bounds are given.
+    An offending beta is named with its bound, the first in row order."""
+    beta = [np.asarray(row, dtype=float) for row in beta]
+    if not all((np.isfinite(row) & (row >= 0)).all() for row in beta):
+        raise ValueError("scaling factors must be finite and >= 0")
     if beta_max is not None:
-        if tuple(len(r) for r in beta_max) != tuple(len(r) for r in beta):
+        beta_max = [np.asarray(row, dtype=float) for row in beta_max]
+        if [r.shape for r in beta_max] != [r.shape for r in beta]:
             raise ValueError("beta and beta_max shapes differ")
         for brow, mrow in zip(beta, beta_max):
-            for b, m in zip(brow, mrow):
-                if b > m * (1 + 1e-9) + 1e-15:
-                    raise ValueError(f"beta {b} exceeds its bound {m}")
+            over = brow > mrow * (1 + 1e-9) + 1e-15
+            if over.any():
+                # a mask picks elements in C order: the first is the first offender
+                raise ValueError(f"beta {brow[over][0]} exceeds its bound {mrow[over][0]}")
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,10 @@ class ScalingVector:
     beta_max: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(_as_float_tuple(row) for row in self.beta))
+        object.__setattr__(self, "beta", tuple(tuple(map(float, row)) for row in self.beta))
         if self.beta_max is not None:
             object.__setattr__(self, "beta_max",
-                               tuple(_as_float_tuple(row) for row in self.beta_max))
+                               tuple(tuple(map(float, row)) for row in self.beta_max))
         _check_scaling(self.beta, self.beta_max)
 
     def flat(self) -> np.ndarray:
@@ -225,9 +225,28 @@ class RateReport:
 
     @classmethod
     def from_snrs(cls, snr_t: float, snr_e: float) -> "RateReport":
-        r_t = 0.5 * math.log2(1.0 + snr_t)
-        r_e = 0.5 * math.log2(1.0 + snr_e)
-        return cls(snr_t=snr_t, snr_e=snr_e, r_t=r_t, r_e=r_e, r_s=max(r_t - r_e, 0.0))
+        return RateColumns.from_snrs([snr_t], [snr_e]).point()
+
+
+class RateColumns(NamedTuple):
+    """RateReport's fields as columns, one entry per point of a batch."""
+
+    snr_t: list
+    snr_e: list
+    r_t: list
+    r_e: list
+    r_s: list
+
+    @classmethod
+    def from_snrs(cls, snr_t: list, snr_e: list) -> "RateColumns":
+        """The rates of SNR columns, each point's logs by math.log2."""
+        r_t = [0.5 * math.log2(1.0 + t) for t in snr_t]
+        r_e = [0.5 * math.log2(1.0 + e) for e in snr_e]
+        return cls(snr_t, snr_e, r_t, r_e, [max(t - e, 0.0) for t, e in zip(r_t, r_e)])
+
+    def point(self, k: int = 0) -> RateReport:
+        """Point k's rates."""
+        return RateReport(*(column[k] for column in self))
 
 
 class Cascade(NamedTuple):
@@ -316,22 +335,37 @@ def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[
 
 
 def _rate_reports(net: LayeredNetwork, c: Cascade,
-                  snooped: Iterable[int] | None = None) -> list[RateReport]:
+                  snooped: Iterable[int] | None = None) -> RateColumns:
     """The rates of each point of a cascade, one point's or a batch's (see
-    `rates`). The snooped nodes' terms are summed in node order and squared
-    as t * t, and each point's logs are taken by math.log2, so a point of a
-    batch equals the point alone."""
+    `rates`), as columns. The snooped nodes' terms are summed in node order
+    and squared as t * t, and each point's logs are taken by math.log2, so a
+    point of a batch equals the point alone."""
     s2, m = net.sigma2, net.M - 1
     snr_t = np.atleast_1d(c.sig[-1] / (c.fwd[-1] + s2)).tolist()
     snoop = _snooped_nodes(net, snooped)
     if not snoop:
-        return [RateReport.from_snrs(t, 0.0) for t in snr_t]
+        return RateColumns.from_snrs(snr_t, [0.0] * len(snr_t))
     terms = [np.atleast_1d(c.betas[m][..., i] * net.h_e[i]) for i in snoop]
-    w = sum(terms)
-    w = w * w
-    own = sum(t * t for t in terms)
-    snr_e = (c.sig[m] * w / (c.fwd[m] * w + s2 * own + s2)).tolist()
-    return [RateReport.from_snrs(t, e) for t, e in zip(snr_t, snr_e)]
+
+    def powers(scale):
+        # the eavesdropper's signal and noise powers with every term times
+        # scale, a power of two: each rounding is the unscaled one, barring
+        # overflow and underflow, and the SNR is their ratio
+        ts = [t * scale for t in terms]
+        w = sum(ts)
+        w = w * w
+        return c.sig[m] * w, c.fwd[m] * w + s2 * sum(t * t for t in ts) + s2 * scale * scale
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = powers(1.0)
+    fits = np.isfinite(num) & np.isfinite(den)
+    if not fits.all():
+        # where a square or a product passes the float range, the point's
+        # largest term is scaled into [0.5, 1): no square overflows then, and
+        # a product does only where a power itself is near the float maximum
+        big = np.max(np.abs(terms), axis=0)
+        num, den = powers(np.where(fits, 1.0, np.ldexp(1.0, -np.frexp(big)[1])))
+    return RateColumns.from_snrs(snr_t, (num / den).tolist())
 
 
 def rates(net: LayeredNetwork, scaling: ScalingVector,
@@ -343,7 +377,7 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     the eavesdropper: the coherent source component and the noise forwarded
     from layers 1..M-1 arrive through them, plus their own thermal noise.
     """
-    return _rate_reports(net, cascade(net, scaling.beta), snooped)[0]
+    return _rate_reports(net, cascade(net, scaling.beta), snooped).point()
 
 
 def max_scaling_with_layer(net: LayeredNetwork, layer: int,

@@ -9,7 +9,7 @@ iterate is feasible by construction (projection is implicit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
@@ -62,16 +62,8 @@ class OracleDiagnostics:
     start_objectives: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "n_evals": self.n_evals,
-            "n_starts": self.n_starts,
-            "n_merged": self.n_merged,
-            "converged": self.converged,
-            "starts_agree": self.starts_agree,
-            "multimodal": self.multimodal,
-            "best_objective": self.best_objective,
-            "start_objectives": list(self.start_objectives),
-        }
+        """The fields by name, with start_objectives as a list, as JSON writes it."""
+        return {**asdict(self), "start_objectives": list(self.start_objectives)}
 
 
 class OracleResult(NamedTuple):

@@ -260,6 +260,16 @@ class TestCliProcess:
         assert r.returncode == 3
         assert "layer 1" in r.stderr
 
+    def test_exit_2_delta_not_positive(self, tmp_path, capsys):
+        # at delta = 0 no regime is checked, so no bound is reported
+        d = bundled_presets()["fig5a"].to_dict()
+        d["delta"] = 0.0
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["highsnr", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "model error: delta = 0: the bounds need delta > 0")
+
     def test_requires_exactly_one_source(self):
         r = _run_cli(["solve"])
         assert r.returncode == 1

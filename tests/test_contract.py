@@ -64,7 +64,9 @@ def _item4(M: int) -> LayeredNetwork:
 
 
 # N^2 P h^2 / sigma2 past the float maximum for h = 1e60: the eavesdropper's
-# term alone, then both terms of the cut
+# term alone, then both terms of the cut. In the first, sigma2 times the
+# eavesdropper's squared terms also passes it (2e320), while the SNR it
+# enters is about 2e-100
 _WIDE_CUT = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=1e60, P_s=1.0, P=1e200,
                                    sigma2=1e100)
 
@@ -72,7 +74,7 @@ _WIDE_CUT = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=1e60, P_s=1.0, P=1
 EXPLICIT = [
     ("p_s_over_sigma2_M1", _explicit(_item4(1)), {"solve": 0, "sweep": 0}),
     ("p_s_over_sigma2_M2", _explicit(_item4(2)), {"solve": 0, "sweep": 0}),
-    ("eavesdropper_cut_term_overflows", _explicit(_WIDE_CUT), {}),
+    ("eavesdropper_cut_term_overflows", _explicit(_WIDE_CUT), {"solve": 0, "sweep": 0}),
     ("both_cut_terms_overflow", _explicit(LayeredNetwork.diamond(
         N=2, h_s=1.0, h_t=2e60, h_e=1e60, P_s=1.0, P=1e200, sigma2=1e100)), {}),
     ("highsnr_eavesdropper_terms_overflow", _explicit(LayeredNetwork(

@@ -193,8 +193,13 @@ class TestGapBound:
         assert gap_bound(FIG5A, 0.005) == pytest.approx(0.2492668, abs=2e-7)
         assert gap_bound(FIG5B, 0.005) == pytest.approx(0.0928971, abs=2e-7)
 
-    def test_delta_zero(self):
-        assert gap_bound(FIG5A, 0.0) == 0.0
+    @pytest.mark.parametrize("delta", [0.0, -0.005])
+    def test_delta_not_positive_refused(self, delta):
+        # at delta = 0 the regime is not checked, and fig5a's actual gap
+        # (0.0386) is above the formula's 0: no bound is reported there
+        for bound in (gap_bound, noise_power_bound, high_snr_report):
+            with pytest.raises(ValueError, match="the bounds need delta > 0"):
+                bound(FIG5A, delta)
 
     def test_vacuous_region_rejected(self):
         with pytest.raises(ValueError):

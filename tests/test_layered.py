@@ -221,6 +221,70 @@ class TestLemmaBetaM:
             assert sol.layer_m.beta_glb == pytest.approx(root, rel=1e-12)
         assert checked > 400
 
+    @staticmethod
+    def _batch(net, P_s):
+        m = net.M - 1
+        allmax = cascade(net, lambda l, bmax: bmax, P_s)
+        co = _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax)
+        return lemma_beta_M(co, net.gain_out(m), net.common_h_e, allmax.bounds[m][:, 0])
+
+    @staticmethod
+    def _alone(net, p):
+        net_p = replace(net, P_s=p)
+        m = net.M - 1
+        co = extract_coefficients(net_p)
+        sol = lemma_beta_M(co, net.gain_out(m), net.common_h_e, beta_max_vector(net_p).beta[m][0])
+        if sol.sign_positive:
+            # the root on Python floats, by math.sqrt, with B^2 as B * B
+            denom = abs(co.cal_B) + math.sqrt(co.cal_B * co.cal_B
+                                              + 4.0 * abs(co.cal_A) * co.cal_C)
+            assert sol.beta_glb == (math.sqrt(2.0 * co.cal_C / denom) if denom else math.inf)
+        return sol
+
+    @pytest.mark.parametrize("net, covers", [
+        (FIG5A, lambda sol: 0 < sol.clipped.sum() < sol.clipped.size),
+        (LayeredNetwork.diamond(N=2, h_s=0.5, h_t=0.2, h_e=0.6, P_s=4, P=4, sigma2=1),
+         lambda sol: not sol.sign_positive),
+        (replace(FIG5A, h_e=0.0), lambda sol: np.isinf(sol.beta_glb).all())],
+        ids=["clipped_and_not", "sign_not_positive", "no_eavesdropper"])
+    def test_batch_equals_each_point_alone(self, net, covers):
+        P_s = np.geomspace(1.0, 1e9, 37)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            batch = self._batch(net, P_s)
+            for k, p in enumerate(P_s.tolist()):
+                sol = self._alone(net, p)
+                assert type(sol.beta_opt) is float and type(sol.clipped) is bool
+                assert sol == replace(batch, beta_opt=batch.beta_opt[k],
+                                      beta_glb=batch.beta_glb[k], clipped=batch.clipped[k])
+        assert covers(batch)
+
+    def test_root_denominator_underflowing_to_zero_clips(self):
+        # h_e > 0, but cal_C = nu * sign underflows to 0, and cal_A and cal_B
+        # with it: the root's denominator is 0, so beta_glb = inf and layer M
+        # clips to its bound, as without an eavesdropper
+        net = LayeredNetwork(
+            L=3, nodes_per_layer=(3, 2, 1), h_s=1.2939473979909746,
+            h=(2.6276495435959335e+83, 1.37949096783336e-31), h_t=8.242845192508372e-81,
+            h_e=8.527216863236646e-144, M=2, P_s=0.5458693363677517,
+            P=9.792624044207778e-32, sigma2=5.646733537664175e-92)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            alone = optimal_scaling(net).layer_m
+            batch = self._batch(net, np.array([net.P_s, 2 * net.P_s]))
+        assert alone.sign_positive and alone.clipped and alone.beta_glb == math.inf
+        assert batch.clipped.all() and np.isinf(batch.beta_glb).all()
+
+    def test_overflowing_point_raises_in_a_batch_as_alone(self):
+        # the discriminant passes the float range from about P_s = 1e-30 on
+        net = LayeredNetwork(L=2, nodes_per_layer=(1, 1), h_s=0.5, h=(0.8,), h_t=0.6,
+                             h_e=0.7, M=1, P_s=1.0, P=1e60, sigma2=1e-100)
+        P_s = np.array([1e-90, 1e-60, 1e-40, 1e3])
+        fits = self._batch(net, P_s[:3])
+        assert [self._alone(net, p).beta_opt for p in P_s[:3].tolist()] \
+            == fits.beta_opt.tolist()
+        for call in (lambda: self._batch(net, P_s), lambda: self._alone(net, 1e3)):
+            with pytest.raises(OverflowError, match="the layer-M quadratic's root is not finite"):
+                call()
+
     def test_diamond_specialization_exact(self):
         # lemma path on L=1 equals the diamond closed form to machine precision
         rng = np.random.default_rng(31)

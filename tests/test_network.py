@@ -13,6 +13,7 @@ from anc_secrecy import (
     propagate,
     rates,
 )
+from anc_secrecy.network import _check_scaling, _rate_reports, cascade
 from conftest import random_feasible_scaling, random_network, rates_by_path_enumeration
 
 
@@ -47,6 +48,36 @@ class TestValidation:
     def test_rejects_beta_above_bound(self):
         with pytest.raises(ValueError):
             ScalingVector(beta=((1.5,),), beta_max=((1.0,),))
+
+    @staticmethod
+    def _first_offender(beta, beta_max):
+        # the per-element loop the array check replaced: layers in order,
+        # each layer's (B, N_l) row flattened point by point
+        for brow, mrow in zip(beta, beta_max):
+            for b, m in zip(np.ravel(brow).tolist(), np.ravel(mrow).tolist()):
+                if b > m * (1 + 1e-9) + 1e-15:
+                    return f"beta {b} exceeds its bound {m}"
+        return None
+
+    def test_batch_rows_name_the_first_offender(self):
+        rng = np.random.default_rng(77)
+        for _ in range(100):
+            bounds = [rng.uniform(0.1, 2.0, (5, int(rng.integers(1, 4)))) for _ in range(3)]
+            beta = [b * rng.uniform(0.5, 1.0, b.shape) for b in bounds]
+            _check_scaling(beta, bounds)
+            _check_scaling(bounds, bounds)
+            for _ in range(int(rng.integers(1, 4))):
+                l = int(rng.integers(3))
+                k = int(rng.integers(beta[l].size))
+                beta[l].flat[k] = bounds[l].flat[k] * rng.uniform(1.01, 2.0)
+            message = self._first_offender(beta, bounds)
+            assert message is not None
+            with pytest.raises(ValueError) as exc:
+                _check_scaling(beta, bounds)
+            assert str(exc.value) == message
+            beta[2][-1, -1] = math.nan
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                _check_scaling(beta, None)
 
     @pytest.mark.parametrize("cls, override, message", [
         (LayeredNetwork, dict(L=0, nodes_per_layer=()), "L must be >= 1"),
@@ -227,6 +258,23 @@ class TestRates:
         rep = rates(net, beta_max_vector(net))
         assert rep.r_t == 0.0
         assert rep.r_s == 0.0
+
+    @pytest.mark.parametrize("h_e", [1e60, 1e200])
+    def test_eavesdropper_snr_whose_terms_pass_the_float_range(self, h_e):
+        # at P_s = 1 sigma2 times the squared eavesdropper terms is 2e320
+        # (at h_e = 1e200 the squares alone pass the float range), while the
+        # SNR is about 2e-100; from P_s = 1e130 on nothing overflows. A batch
+        # over both kinds of points equals each point alone.
+        net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=h_e, P_s=1.0, P=1e200,
+                                     sigma2=1e100)
+        P_s = np.geomspace(1.0, 1e140, 8)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert rates(net, beta_max_vector(net)).snr_e == pytest.approx(2e-100, rel=1e-14)
+            batch = _rate_reports(net, cascade(net, lambda l, bmax: bmax, P_s))
+            for k, p in enumerate(P_s.tolist()):
+                net_p = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=h_e, P_s=p,
+                                               P=1e200, sigma2=1e100)
+                assert batch.point(k) == rates(net_p, beta_max_vector(net_p))
 
 
 class TestRateReportInvariants:

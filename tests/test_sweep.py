@@ -120,10 +120,13 @@ def test_batch_points_equal_the_points_alone():
         # the draw made a lemma network: each layer's first cap for the
         # whole layer, and the first eavesdropper gain for all of layer M
         lemma = replace(net, h_e=net.h_e[0], P=tuple((row[0],) * len(row) for row in net.P))
-        for p, opt, allmax in zip(P_s.tolist(), *optimal_rates(lemma, P_s)):
+        # optimal_rates' columns, point by point, in all five fields
+        opt, allmax = optimal_rates(lemma, P_s)
+        for k, p in enumerate(P_s.tolist()):
             net_p = replace(lemma, P_s=p)
-            assert opt == _point_optimum(net_p) == optimal_scaling(net_p).rate, (lemma, p)
-            assert allmax == rates(net_p, beta_max_vector(net_p)), (lemma, p)
+            assert opt.point(k) == _point_optimum(net_p) == optimal_scaling(net_p).rate, \
+                (lemma, p)
+            assert allmax.point(k) == rates(net_p, beta_max_vector(net_p)), (lemma, p)
 
 
 def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
