@@ -10,12 +10,14 @@ own thermal noise. Received powers therefore propagate front-to-back with
 two scalars per layer, which the one kernel `cascade` computes, for one
 point or for a batch of source powers.
 
-Every square of a node sum or of an eavesdropper term is taken as x * x,
-and so is cal_B in the discriminant of the lemma's quadratic
-(`layered.lemma_beta_M`). `x ** 2` would square a numpy scalar by libm pow,
-which is not always correctly rounded, and an array by multiplication,
-which is; x * x is correctly rounded in both forms, so a point computed
-alone and the same point inside a batch agree bit for bit.
+One squaring rule holds for the whole library: every square of a node sum
+or of an eavesdropper term is taken as x * x, here and in the search
+oracle's objective (`oracle._Objective`), and so is cal_B in the
+discriminant of the lemma's quadratic (`layered.lemma_beta_M`). x * x is
+correctly rounded for a float, a numpy scalar and every element of an array
+alike, so a point computed alone and the same point inside a batch agree
+bit for bit, and the oracle's objective equals `rates` on the same betas.
+Only the network's own gains are squared by `**`, the same way everywhere.
 """
 from __future__ import annotations
 
@@ -250,16 +252,13 @@ class RateColumns(NamedTuple):
 
 
 class Cascade(NamedTuple):
-    """One front-to-back propagation, per relay layer: the betas used, their
-    bounds (None where the policy fixed the betas) and the sums
-    s_sum = (sum beta)^2 and q_sum = sum beta^2. sig and fwd are the signal
-    and forwarded-noise powers entering each layer, then the destination's.
-    A batch's entries hold one row or element per point."""
+    """One front-to-back propagation, per relay layer: the betas used and
+    their bounds (None where the policy fixed the betas). sig and fwd are the
+    signal and forwarded-noise powers entering each layer, then the
+    destination's. A batch's entries hold one row or element per point."""
 
     betas: list
     bounds: list
-    s_sum: list
-    q_sum: list
     sig: list
     fwd: list
 
@@ -297,11 +296,11 @@ def cascade(net: LayeredNetwork, policy, P_s=None) -> Cascade:
         b = np.asarray(policy(l, bmax) if bounded else policy[l], dtype=float)
         s = b.sum(axis=-1)
         s_sum, q_sum = s * s, (b * b).sum(axis=-1)
-        layers.append((b, bmax, s_sum, q_sum, sig, fwd))
+        layers.append((b, bmax, sig, fwd))
         g = net.gain_out(l) ** 2
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-    betas, bounds, s_sums, q_sums, sigs, fwds = map(list, zip(*layers))
-    return Cascade(betas, bounds, s_sums, q_sums, sigs + [sig], fwds + [fwd])
+    betas, bounds, sigs, fwds = map(list, zip(*layers))
+    return Cascade(betas, bounds, sigs + [sig], fwds + [fwd])
 
 
 def beta_max_vector(net: LayeredNetwork) -> ScalingVector:

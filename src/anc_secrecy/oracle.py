@@ -15,8 +15,8 @@ from typing import ClassVar, Iterable, NamedTuple
 import numpy as np
 
 from .layered import optimal_scaling
-from .network import (LayeredNetwork, RateReport, ScalingVector, _snooped_nodes, cascade,
-                      rates)
+from .network import (LayeredNetwork, RateReport, ScalingVector, _rate_reports,
+                      _snooped_nodes, cascade)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per line search; each line also evaluates its two
@@ -78,51 +78,58 @@ class VerificationReport:
     rate_closed: float
     rate_oracle: float
     rate_deviation: float
-    max_coord_deviation: float
     passed: bool
-
-
-def _pow2(x):
-    # a float by libm pow, an array as x * x
-    return x ** 2
-
-
-def _pow2_rows(t: np.ndarray) -> np.ndarray:
-    # libm pow per element, as `_pow2` squares a float; t * t differs in the
-    # last bit on about 0.1% of inputs
-    return np.array([x ** 2 for x in t.tolist()])
 
 
 class _Objective:
     """Exact r_t - r_e (unclamped) over normalized coordinates u in [0,1]^dim.
 
-    One recursion serves a single point (`u` a list of floats) and a batch
-    (`u` a (dim, B) array, one point per column). Both apply the same float
-    operations in the same order: nodes summed in node order, eavesdropper
-    terms squared by pow, math.log2 per point. A batched value therefore
-    equals the scalar value bit for bit. A state is (sig, fwd, snr_e)
-    entering a layer, so a line search that moves only layer l computes the
-    layers before l once. `scan` runs the same recursion over the coarse
-    scan's candidates, vectorized throughout.
+    One recursion serves a single point (`u` a list of floats), a line
+    scan's batch and the coarse scan's candidates (`u` a (dim, B) array, one
+    point per column); only sqrt depends on the type. It applies the
+    kernel's float operations in the kernel's order, with the library's one
+    squaring rule (x * x, see `network`): nodes summed in node order, the
+    eavesdropper's SNR formed as `_rate_reports` forms it. A point's value
+    therefore equals r_t - r_e of `rates` on the same betas bit for bit, and
+    a batched value equals the scalar one; `scan` alone takes np.log2. A
+    state is (sig, fwd, snr_e) entering a layer, so a line search that moves
+    only layer l computes the layers before l once.
     """
 
     def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
         self.L, self.s2 = net.L, net.sigma2
         offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
+        m, eav = net.M - 1, [(i, net.h_e[i]) for i in snoop]
+        # snooped term i is at most |h_e,i| sqrt(P_i / sigma2) (rx >= sigma2),
+        # so w and each of the eavesdropper's powers (sig * w, fwd * w,
+        # s2 * own) are at most n^2 max(1, sigma2) times the largest square.
+        # Only where three times that could pass the float range are the h_e
+        # pairs scaled by 2^-k and the `+ s2` term by 2^-2k (kept above 0,
+        # so a point without snooped transmission still has an SNR of 0): a
+        # power of two changes no rounding, so a network in range keeps its
+        # bits, and the SNR, a ratio, its value.
+        caps = net.P[m]
+        tops = [2 * math.log2(abs(h)) + math.log2(caps[i]) for i, h in eav if h and caps[i]]
+        k = 0
+        if tops:
+            bits = max(tops) + math.log2(3 * len(eav) * len(eav)) + max(0.0, -math.log2(self.s2))
+            k = max(0, math.ceil((bits - 1022) / 2))
+        self.s2_e = max(math.ldexp(self.s2, -2 * k), math.ulp(0.0))
         # per layer: (coordinate, power cap) of each node, squared gain out,
         # and the snooped (node, h_e) pairs on layer M
         self.layers = [(list(zip(range(offs[l], offs[l + 1]), net.layer_power(l).tolist())),
                         net.gain_out(l) ** 2,
-                        [(i, net.h_e[i]) for i in snoop] if l == net.M - 1 else [])
+                        [(i, math.ldexp(h, -k)) for i, h in eav] if l == m else [])
                        for l in range(net.L)]
         self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0)
 
-    def advance(self, u, state, l0: int, l1: int, sqrt=math.sqrt, square=_pow2):
+    def advance(self, u, state, l0: int, l1: int, sqrt=math.sqrt):
         """The state entering layer l1 from the state entering layer l0."""
         s2 = self.s2
         sig, fwd, snr_e = state
         for nodes, g, eav in self.layers[l0:l1]:
             rx = sig + fwd + s2
+            # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
             s_sum = q_sum = 0.0
             bs = []
             for k, p in nodes:
@@ -133,10 +140,11 @@ class _Objective:
             if eav:
                 w = own = 0.0
                 for i, h in eav:
-                    w += bs[i] * h
-                    own += square(bs[i] * h)
+                    t = bs[i] * h
+                    w += t
+                    own += t * t
                 w *= w
-                snr_e = sig * w / (fwd * w + s2 * own + s2)
+                snr_e = sig * w / (fwd * w + s2 * own + self.s2_e)
             s_sum *= s_sum
             sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
         return sig, fwd, snr_e
@@ -151,13 +159,13 @@ class _Objective:
     def batch(self, X: np.ndarray, states: np.ndarray, l0: int) -> list[float]:
         """Values of the columns of X from per-column states (B, 3) entering
         layer l0."""
-        out = self.advance(X, tuple(states.T), l0, self.L, np.sqrt, _pow2_rows)
+        out = self.advance(X, tuple(states.T), l0, self.L, np.sqrt)
         return list(map(self.value, zip(*(a.tolist() for a in out))))
 
     def scan(self, U: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
-        candidates: the recursion squares by x * x and takes np.log2, so a
-        value may differ from the scalar one in the last bits."""
+        candidates: the logs are np.log2's, so a value may differ from the
+        scalar one in the last bits."""
         sig, fwd, snr_e = self.advance(U.T, self.start, 0, self.L, np.sqrt)
         return 0.5 * (np.log2(1.0 + sig / (fwd + self.s2)) - np.log2(1.0 + snr_e))
 
@@ -190,10 +198,11 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]],
-            max_cycles: int, tol: float) -> tuple[list[tuple[float, np.ndarray, bool]], int, int]:
+def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]]
+            ) -> tuple[list[tuple[float, np.ndarray, bool]], int, int]:
     """Cyclic coordinate ascent with golden-section line searches, all
-    starts in lockstep.
+    starts in lockstep, for at most _MAX_CYCLES cycles; a start has converged
+    once a cycle gains less than SearchConfig.refine_tol.
 
     Each cycle runs every line (layer, lo, hi) in turn, moving u[lo:hi] to
     a common value: the single coordinates, then each wide layer as a block;
@@ -209,7 +218,7 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     us = [s.astype(float) for s in starts]
     rep, best, conv = list(range(n)), [0.0] * n, [False] * n
     live, evals = list(range(n)), 0
-    for cycle in range(max_cycles + 1):
+    for cycle in range(_MAX_CYCLES + 1):
         groups: dict[bytes, int] = {}
         for k in live:
             rep[k] = groups.setdefault(us[k].tobytes(), k)
@@ -218,7 +227,7 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
             for k in live:
                 best[k] = obj(us[k].tolist())
             evals += len(live)
-        if cycle == max_cycles or not live:
+        if cycle == _MAX_CYCLES or not live:
             break
         before = [best[k] for k in live]
         for l, lo, hi in lines:
@@ -245,7 +254,7 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
             evals += len(live) * (ns + _GOLDEN_STEPS + 2)
         still = []
         for k, b0 in zip(live, before):
-            if best[k] - b0 < tol:
+            if best[k] - b0 < SearchConfig.refine_tol:
                 conv[k] = True
             else:
                 still.append(k)
@@ -307,20 +316,17 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
 
     lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
     lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
-    finals, evals, n_merged = _refine(obj, starts, lines, _MAX_CYCLES, cfg.refine_tol)
-    total_evals = int(U.shape[0]) + evals
+    finals, evals, n_merged = _refine(obj, starts, lines)
 
     best_val = max(v for v, _, _ in finals)
     # deterministic tie-break: among near-best finals, lexicographically
     # smallest beta vector
     tied = [u for v, u, _ in finals if best_val - v <= cfg.refine_tol]
-    sv = min((cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax) for u in tied),
-             key=lambda c: np.concatenate(c.betas).tolist()).scaling()
-    report = rates(net, sv, snooped=snoop)
-    spread = max(v for v, _, _ in finals) - min(v for v, _, _ in finals)
-    agree = spread <= max(cfg.refine_tol, 1e-9)
+    chosen = min((cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax) for u in tied),
+                 key=lambda c: np.concatenate(c.betas).tolist())
+    agree = best_val - min(v for v, _, _ in finals) <= max(cfg.refine_tol, 1e-9)
     diag = OracleDiagnostics(
-        n_evals=total_evals,
+        n_evals=int(U.shape[0]) + evals,
         n_starts=n_starts,
         n_merged=n_merged,
         converged=all(c for _, _, c in finals),
@@ -329,7 +335,8 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         best_objective=max(best_val, initial_best),
         start_objectives=tuple(float(v) for v, _, _ in finals),
     )
-    return OracleResult(beta=sv, rate=report, diagnostics=diag)
+    return OracleResult(beta=chosen.scaling(), rate=_rate_reports(net, chosen, snoop).point(),
+                        diagnostics=diag)
 
 
 def verify_against_closed_form(net: LayeredNetwork,
@@ -344,8 +351,5 @@ def verify_against_closed_form(net: LayeredNetwork,
     rate_closed, rate_oracle = closed.rate.r_s, res.rate.r_s
     dev = abs(rate_closed - rate_oracle)
     tol = max(1e-4, 1e-4 * max(abs(rate_closed), abs(rate_oracle)))
-    coord_dev = float(np.max(np.abs(closed.beta.flat() - res.beta.flat())))
-    return VerificationReport(kind="diamond" if net.L == 1 else "layered",
-                              rate_closed=rate_closed,
-                              rate_oracle=rate_oracle, rate_deviation=dev,
-                              max_coord_deviation=coord_dev, passed=dev <= tol)
+    return VerificationReport(kind="diamond" if net.L == 1 else "layered", rate_closed=rate_closed,
+                              rate_oracle=rate_oracle, rate_deviation=dev, passed=dev <= tol)

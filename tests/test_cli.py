@@ -354,6 +354,23 @@ class TestCliProcess:
         assert main([mode, "--config", str(p)]) == 2
         assert "overflow the float range: a result is inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["solve", "subset"])
+    def test_search_past_the_float_range_in_squares_exits_0(self, tmp_path, capsys, mode):
+        # per-node h_e sends solve to the search; a snooped term squared
+        # times sigma2 passes the float range, while the eavesdropper's SNR
+        # is about 2e-100
+        d = {"network": {"L": 1, "N": 2, "h_s": 1, "h": [], "h_t": 1,
+                         "h_e": [1e60, 1.1e60], "M": 1, "P_s": 1, "P": 1e200,
+                         "sigma2": 1e100},
+             "mode": mode}
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        code = main([mode, "--config", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert rows and all(float(r[header.index("r_s")]) == 0.0 for r in rows)
+
     def test_exit_1_negative_seed_flag(self, capsys):
         assert main(["solve", "--preset", "example1", "--seed", "-1"]) == 1
         assert "seed:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from anc_secrecy import (
     propagate,
     verify_against_closed_form,
 )
+from anc_secrecy.network import _rate_reports, cascade
 from anc_secrecy.oracle import _LINE_SCAN, _Objective, _refine, _top_k
 from conftest import random_diamond, random_ecgal
 
@@ -189,9 +190,48 @@ def test_batched_line_values_equal_scalar_objective(net):
             batched = obj.batch(X, np.repeat(states, ns, axis=0), l)
             scalar = [obj(col) for col in X.T.tolist()]
             assert batched == scalar, (snoop, l, lo, hi)
-            # the coarse scan squares by x * x and takes np.log2: equal up
-            # to rounding
+            # the coarse scan takes np.log2: equal up to rounding
             np.testing.assert_allclose(obj.scan(X.T), scalar, rtol=0, atol=1e-12)
+
+
+def test_objective_is_the_kernels_rates():
+    # the oracle's objective at u equals r_t - r_e of the kernel's cascade
+    # at betas u * bound, bit for bit: one squaring rule, one summation
+    # order. Widths stay below 8, where numpy's pairwise sum is sequential.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        L = int(rng.integers(1, 4))
+        widths = tuple(int(n) for n in rng.integers(1, 8, L))
+        offs = np.cumsum((0,) + widths).tolist()
+        for M in range(1, L + 1):
+            net = LayeredNetwork(
+                L=L, nodes_per_layer=widths, h_s=float(rng.uniform(0.05, 1.5)),
+                h=tuple(rng.uniform(0.05, 1.5, L - 1).tolist()),
+                h_t=float(rng.uniform(0.05, 1.5)),
+                h_e=tuple(rng.uniform(0.01, 1.5, widths[M - 1]).tolist()), M=M,
+                P_s=float(rng.uniform(0.1, 30.0)),
+                P=tuple(tuple(rng.uniform(0.1, 30.0, n).tolist()) for n in widths),
+                sigma2=float(rng.uniform(0.2, 2.0)))
+            snoop = tuple(np.flatnonzero(rng.random(widths[M - 1]) < 0.6).tolist())
+            obj = _Objective(net, snoop)
+            for _ in range(25):
+                u = rng.random(offs[-1])
+                u[rng.random(offs[-1]) < 0.2] = rng.choice([0.0, 1.0])
+                c = cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax)
+                rep = _rate_reports(net, c, snoop).point()
+                assert obj(u.tolist()) == rep.r_t - rep.r_e, (net, snoop, u.tolist())
+
+
+def test_search_with_squares_past_the_float_range():
+    # sigma2 times a snooped term squared passes the float range (1e320),
+    # yet every power and the eavesdropper's SNR (about 2e-100) are in range
+    net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=(1e60, 1.1e60), P_s=1.0,
+                                 P=1e200, sigma2=1e100)
+    with np.errstate(all="raise"):
+        res = maximize_secrecy(net, cfg=SearchConfig(restarts=4))
+    assert res.rate.r_s == 0.0
+    assert 0.0 <= res.rate.snr_e < 1e-99
+    assert all(np.isfinite(v) for v in res.diagnostics.start_objectives)
 
 
 @pytest.mark.parametrize("net", RAGGED[2:])
@@ -203,8 +243,8 @@ def test_lockstep_refinement_matches_solo(net):
     distinct[3] = 1.0
     starts = distinct[[0, 1, 0, 2, 3, 1, 3]]  # duplicates, out of order
     lines = _lines(net)
-    together, evals, merged = _refine(obj, starts, lines, 60, 1e-10)
-    alone = [_refine(obj, s[None, :], lines, 60, 1e-10) for s in distinct]
+    together, evals, merged = _refine(obj, starts, lines)
+    alone = [_refine(obj, s[None, :], lines) for s in distinct]
     for k, (best, u, conv) in enumerate(together):
         b1, u1, c1 = alone[[0, 1, 0, 2, 3, 1, 3][k]][0][0]
         assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
