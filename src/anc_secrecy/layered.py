@@ -229,10 +229,8 @@ def _lemma_points(net: LayeredNetwork, P_s: np.ndarray | None = None
     m = net.M - 1
     allmax = cascade(net, lambda l, bmax: bmax, P_s)
     sol = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
-                       allmax.bounds[m][..., 0])
-    beta_m = np.asarray(sol.beta_opt)[..., None]
-    opt = cascade(net, lambda l, bmax: np.repeat(beta_m, bmax.shape[-1], axis=-1)
-                  if l == m else bmax, P_s)
+                       allmax.bounds[m][0])
+    opt = cascade(net, lambda l, bmax: [sol.beta_opt] * len(bmax) if l == m else bmax, P_s)
     return opt, allmax, sol
 
 
@@ -260,8 +258,8 @@ def optimal_rates(net: LayeredNetwork, P_s) -> tuple[RateColumns, RateColumns]:
     `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
     net.P_s set to that power, bit for bit."""
     opt, allmax, _ = _lemma_points(net, np.asarray(P_s, dtype=float))
-    # ScalingVector's checks, once per cascade, on each layer's (B, N_l)
-    # rows; the all-max betas are their own bounds
+    # ScalingVector's checks, once per cascade, on each layer's per-node
+    # (B,) columns; the all-max betas are their own bounds
     _check_scaling(opt.betas, opt.bounds)
     _check_scaling(allmax.betas, None)
     return _rate_reports(net, opt), _rate_reports(net, allmax)

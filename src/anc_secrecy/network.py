@@ -10,14 +10,20 @@ own thermal noise. Received powers therefore propagate front-to-back with
 two scalars per layer, which the one kernel `cascade` computes, for one
 point or for a batch of source powers.
 
-One squaring rule holds for the whole library: every square of a node sum
-or of an eavesdropper term is taken as x * x, here and in the search
-oracle's objective (`oracle._Objective`), and so is cal_B in the
-discriminant of the lemma's quadratic (`layered.lemma_beta_M`). x * x is
-correctly rounded for a float, a numpy scalar and every element of an array
-alike, so a point computed alone and the same point inside a batch agree
-bit for bit, and the oracle's objective equals `rates` on the same betas.
-Only the network's own gains are squared by `**`, the same way everywhere.
+One summation rule, one squaring rule and one overflow rule hold for the
+whole library. The nodes of a layer, and the eavesdropper's terms, are
+summed by += in node order, for a point, for a batch and in the search
+oracle's objective (`oracle._Objective`) alike. Every square of a node sum
+or of an eavesdropper term is taken as x * x, and so is cal_B in the
+discriminant of the lemma's quadratic (`layered.lemma_beta_M`). Each += and
+each x * x is one correctly rounded operation for a float and for every
+element of an array alike, so a point computed alone and the same point
+inside a batch agree bit for bit, and the oracle's objective equals `rates`
+on the same betas. Only the network's own gains are squared by `**`, the
+same way everywhere. Where the eavesdropper's powers pass the float range,
+`_rate_reports` forms that point's SNR again from terms scaled by a power of
+two; the oracle's objective takes the kernel's value there rather than
+rescaling on its own.
 """
 from __future__ import annotations
 
@@ -162,10 +168,11 @@ class LayeredNetwork:
 
 
 def _check_scaling(beta, beta_max) -> None:
-    """ScalingVector's rules on rows of floats or arrays, one per layer (a
-    batch's rows are (B, N_l)): every beta finite and >= 0, and within its
-    bound (up to 1e-9 relative, 1e-15 absolute) when the bounds are given.
-    An offending beta is named with its bound, the first in row order."""
+    """ScalingVector's rules on rows, one per layer, of one entry per node: a
+    float, or a batch's (B,) column. Every beta finite and >= 0, and within
+    its bound (up to 1e-9 relative, 1e-15 absolute) when the bounds are
+    given. An offending beta is named with its bound, the first in row
+    order: node by node, and within a batch's node point by point."""
     beta = [np.asarray(row, dtype=float) for row in beta]
     if not all((np.isfinite(row) & (row >= 0)).all() for row in beta):
         raise ValueError("scaling factors must be finite and >= 0")
@@ -253,9 +260,11 @@ class RateColumns(NamedTuple):
 
 class Cascade(NamedTuple):
     """One front-to-back propagation, per relay layer: the betas used and
-    their bounds (None where the policy fixed the betas). sig and fwd are the
-    signal and forwarded-noise powers entering each layer, then the
-    destination's. A batch's entries hold one row or element per point."""
+    their bounds, a list with one entry per node (bounds None where the
+    policy fixed the betas). sig and fwd are the signal and forwarded-noise
+    powers entering each layer, then the destination's. A point's entries are
+    floats; a batch's are (B,) columns, one element per point, except those
+    that do not vary with P_s (fwd into layer 1)."""
 
     betas: list
     bounds: list
@@ -270,35 +279,44 @@ class Cascade(NamedTuple):
 def cascade(net: LayeredNetwork, policy, P_s=None) -> Cascade:
     """The power-propagation kernel: exact front-to-back recursion.
 
-    policy(l, bmax) -> betas actually used at layer l, given its bound
-    bmax = sqrt(P_l / rx_l); the received power of layer l+1 is computed from
-    those betas, so bounds always reflect the actual upstream transmissions.
-    A policy that is not callable holds every layer's betas; those need no
-    bound, so none is computed and bmax is None.
+    policy(l, bmax) -> betas actually used at layer l, one per node, given
+    their bounds bmax = [sqrt(P_l,i / rx_l)]; the received power of layer l+1
+    is computed from those betas, so bounds always reflect the actual
+    upstream transmissions. A policy that is not callable holds every
+    layer's betas; those need no bound, so none is computed and bmax is None.
 
-    Policies returning (B, N_l) arrays, or a (B,) vector P_s of source
-    powers in place of net.P_s, propagate a batch of B points at once. Each
-    layer's node sum is squared as s * s, which is correctly rounded for a
-    numpy scalar and for every element of a batch alike, so each point of a
-    batch equals that point propagated alone, bit for bit.
+    One body runs a point on Python floats and a batch: a (B,) vector P_s of
+    source powers in place of net.P_s makes every power and bound a (B,)
+    column, and a policy then returns one column (or float) per node. Only
+    sqrt depends on the type. A layer's nodes are summed by += in node order
+    and squared as s * s, each correctly rounded alike for a float and for
+    every element of a column, so each point of a batch equals that point
+    propagated alone, bit for bit. A float ignores np.errstate, so the
+    kernel itself raises OverflowError where a power passes the float range.
     """
     s2 = net.sigma2
     sig, fwd = (net.P_s if P_s is None else P_s) * net.h_s ** 2, 0.0
+    sqrt = np.sqrt if isinstance(sig, np.ndarray) else math.sqrt
     bounded = callable(policy)
     layers = []
     for l in range(net.L):
         bmax = None
         if bounded:
             rx = sig + fwd + s2
-            # a batch's received powers form a column against the layer's nodes
-            col = rx[:, None] if isinstance(rx, np.ndarray) else rx
-            bmax = np.sqrt(net.layer_power(l) / col)
-        b = np.asarray(policy(l, bmax) if bounded else policy[l], dtype=float)
-        s = b.sum(axis=-1)
-        s_sum, q_sum = s * s, (b * b).sum(axis=-1)
+            bmax = [sqrt(p / rx) for p in net.P[l]]
+        b = list(policy(l, bmax) if bounded else policy[l])
+        # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
+        s_sum = q_sum = 0.0
+        for x in b:
+            s_sum += x
+            q_sum += x * x
         layers.append((b, bmax, sig, fwd))
         g = net.gain_out(l) ** 2
+        s_sum *= s_sum
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
+    # a power past the float range anywhere reaches the destination as inf or nan
+    if not np.isfinite(sig + fwd).all():
+        raise OverflowError("the destination's received power is not finite")
     betas, bounds, sigs, fwds = map(list, zip(*layers))
     return Cascade(betas, bounds, sigs + [sig], fwds + [fwd])
 
@@ -315,10 +333,9 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
 def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
     """Exact signal/noise power propagation for a given scaling vector."""
     c = cascade(net, scaling.beta)
-    return PowerFlow(signal_power=tuple(map(float, c.sig[:-1])),
-                     noise_power=tuple(map(float, c.fwd[:-1])),
-                     rx_power=tuple(float(s + f + net.sigma2) for s, f in zip(c.sig, c.fwd[:-1])),
-                     dest_signal=float(c.sig[-1]), dest_noise=float(c.fwd[-1]))
+    return PowerFlow(signal_power=tuple(c.sig[:-1]), noise_power=tuple(c.fwd[:-1]),
+                     rx_power=tuple(s + f + net.sigma2 for s, f in zip(c.sig, c.fwd[:-1])),
+                     dest_signal=c.sig[-1], dest_noise=c.fwd[-1])
 
 
 def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[int, ...]:
@@ -344,7 +361,7 @@ def _rate_reports(net: LayeredNetwork, c: Cascade,
     snoop = _snooped_nodes(net, snooped)
     if not snoop:
         return RateColumns.from_snrs(snr_t, [0.0] * len(snr_t))
-    terms = [np.atleast_1d(c.betas[m][..., i] * net.h_e[i]) for i in snoop]
+    terms = [np.atleast_1d(c.betas[m][i] * net.h_e[i]) for i in snoop]
 
     def powers(scale):
         # the eavesdropper's signal and noise powers with every term times
@@ -387,11 +404,6 @@ def max_scaling_with_layer(net: LayeredNetwork, layer: int,
     after `layer` still transmit at full power even when beta_layer is below
     its own bound.
     """
-    def policy(l, bmax):
-        if l != layer:
-            return bmax
-        if np.isscalar(beta_layer):
-            return np.full_like(bmax, float(beta_layer))
-        return np.asarray(beta_layer, dtype=float)
-
-    return cascade(net, policy).scaling()
+    n = net.nodes_per_layer[layer]
+    row = [float(beta_layer)] * n if np.isscalar(beta_layer) else list(map(float, beta_layer))
+    return cascade(net, lambda l, bmax: row if l == layer else bmax).scaling()

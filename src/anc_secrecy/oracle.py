@@ -15,7 +15,7 @@ from typing import ClassVar, Iterable, NamedTuple
 import numpy as np
 
 from .layered import optimal_scaling
-from .network import (LayeredNetwork, RateReport, ScalingVector, _rate_reports,
+from .network import (Cascade, LayeredNetwork, RateReport, ScalingVector, _rate_reports,
                       _snooped_nodes, cascade)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,46 +87,48 @@ class _Objective:
     One recursion serves a single point (`u` a list of floats), a line
     scan's batch and the coarse scan's candidates (`u` a (dim, B) array, one
     point per column); only sqrt depends on the type. It applies the
-    kernel's float operations in the kernel's order, with the library's one
-    squaring rule (x * x, see `network`): nodes summed in node order, the
-    eavesdropper's SNR formed as `_rate_reports` forms it. A point's value
-    therefore equals r_t - r_e of `rates` on the same betas bit for bit, and
-    a batched value equals the scalar one; `scan` alone takes np.log2. A
-    state is (sig, fwd, snr_e) entering a layer, so a line search that moves
-    only layer l computes the layers before l once.
+    kernel's float operations in the kernel's order, under the library's
+    rules (see `network`): nodes and eavesdropper terms summed by += in node
+    order, every square as x * x. A state is (sig, fwd, num, den) entering a
+    layer, the last two the eavesdropper's signal and noise powers, so a line
+    search that moves only layer l computes the layers before l once. Where
+    a state entry is not finite, the value is the kernel's at that u, which
+    rescues the eavesdropper's SNR, or raises OverflowError where a power
+    itself passes the float range: the objective keeps no overflow rule of
+    its own. A point's value therefore equals r_t - r_e of `rates` on the
+    same betas bit for bit, and a batched value equals the scalar one; `scan`
+    alone takes np.log2.
     """
 
     def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
-        self.L, self.s2 = net.L, net.sigma2
-        offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
-        m, eav = net.M - 1, [(i, net.h_e[i]) for i in snoop]
-        # snooped term i is at most |h_e,i| sqrt(P_i / sigma2) (rx >= sigma2),
-        # so w and each of the eavesdropper's powers (sig * w, fwd * w,
-        # s2 * own) are at most n^2 max(1, sigma2) times the largest square.
-        # Only where three times that could pass the float range are the h_e
-        # pairs scaled by 2^-k and the `+ s2` term by 2^-2k (kept above 0,
-        # so a point without snooped transmission still has an SNR of 0): a
-        # power of two changes no rounding, so a network in range keeps its
-        # bits, and the SNR, a ratio, its value.
-        caps = net.P[m]
-        tops = [2 * math.log2(abs(h)) + math.log2(caps[i]) for i, h in eav if h and caps[i]]
-        k = 0
-        if tops:
-            bits = max(tops) + math.log2(3 * len(eav) * len(eav)) + max(0.0, -math.log2(self.s2))
-            k = max(0, math.ceil((bits - 1022) / 2))
-        self.s2_e = max(math.ldexp(self.s2, -2 * k), math.ulp(0.0))
+        self.net, self.snoop, self.L, self.s2 = net, snoop, net.L, net.sigma2
+        self.offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
         # per layer: (coordinate, power cap) of each node, squared gain out,
         # and the snooped (node, h_e) pairs on layer M
-        self.layers = [(list(zip(range(offs[l], offs[l + 1]), net.layer_power(l).tolist())),
+        self.layers = [(list(zip(range(self.offs[l], self.offs[l + 1]), net.P[l])),
                         net.gain_out(l) ** 2,
-                        [(i, math.ldexp(h, -k)) for i, h in eav] if l == m else [])
+                        [(i, net.h_e[i]) for i in snoop] if l == net.M - 1 else [])
                        for l in range(net.L)]
-        self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0)
+        self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0, 1.0)
+
+    def kernel(self, u) -> Cascade:
+        """The kernel's cascade at u, each node's beta u times its bound: a
+        point's for a vector u, a batch's for the rows of a (B, dim) matrix."""
+        u, offs = np.asarray(u, dtype=float), self.offs
+        cols = u.tolist() if u.ndim == 1 else list(u.T)
+        return cascade(self.net,
+                       lambda l, bmax: [x * b for x, b in zip(cols[offs[l]:offs[l + 1]], bmax)],
+                       None if u.ndim == 1 else np.full(len(u), self.net.P_s))
+
+    def kernel_values(self, u) -> list[float]:
+        """r_t - r_e of `kernel(u)`'s points, by `_rate_reports`."""
+        rates = _rate_reports(self.net, self.kernel(u), self.snoop)
+        return [t - e for t, e in zip(rates.r_t, rates.r_e)]
 
     def advance(self, u, state, l0: int, l1: int, sqrt=math.sqrt):
         """The state entering layer l1 from the state entering layer l0."""
         s2 = self.s2
-        sig, fwd, snr_e = state
+        sig, fwd, num, den = state
         for nodes, g, eav in self.layers[l0:l1]:
             rx = sig + fwd + s2
             # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
@@ -144,30 +146,43 @@ class _Objective:
                     w += t
                     own += t * t
                 w *= w
-                snr_e = sig * w / (fwd * w + s2 * own + self.s2_e)
+                num, den = sig * w, fwd * w + s2 * own + s2
             s_sum *= s_sum
             sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
-        return sig, fwd, snr_e
+        return sig, fwd, num, den
 
-    def value(self, state) -> float:
-        sig, fwd, snr_e = state
-        return 0.5 * (math.log2(1.0 + sig / (fwd + self.s2)) - math.log2(1.0 + snr_e))
+    def value(self, state, u) -> float:
+        """r_t - r_e of a state leaving the network, reached at u; where the
+        state is not finite, the kernel's value at u."""
+        sig, fwd, num, den = state
+        if sig + fwd + num + den < math.inf:  # false for inf and nan
+            return 0.5 * (math.log2(1.0 + sig / (fwd + self.s2)) - math.log2(1.0 + num / den))
+        return self.kernel_values(u)[0]
 
     def __call__(self, u) -> float:
-        return self.value(self.advance(u, self.start, 0, self.L))
+        return self.value(self.advance(u, self.start, 0, self.L), u)
 
-    def batch(self, X: np.ndarray, states: np.ndarray, l0: int) -> list[float]:
-        """Values of the columns of X from per-column states (B, 3) entering
-        layer l0."""
-        out = self.advance(X, tuple(states.T), l0, self.L, np.sqrt)
-        return list(map(self.value, zip(*(a.tolist() for a in out))))
+    def batch(self, X: np.ndarray, states: np.ndarray, l0: int, log2=None):
+        """Values of the columns of X from per-column states (B, 4) entering
+        layer l0, as a list, each by math.log2 as the scalar value is, so
+        equal to it bit for bit; or, with log2 (np.log2), as an array. Where a
+        column's state is not finite, its value is the kernel's, all such
+        columns in one batch."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig, fwd, num, den = self.advance(X, tuple(states.T), l0, self.L, np.sqrt)
+            t, e = 1.0 + sig / (fwd + self.s2), 1.0 + num / den
+            vals = (0.5 * (log2(t) - log2(e)) if log2 else
+                    [0.5 * (math.log2(a) - math.log2(b)) for a, b in zip(t.tolist(), e.tolist())])
+            defer = np.flatnonzero(~np.isfinite(sig + fwd + num + den))
+            for j, v in zip(defer.tolist(), self.kernel_values(X.T[defer]) if defer.size else ()):
+                vals[j] = v
+        return vals
 
     def scan(self, U: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
         candidates: the logs are np.log2's, so a value may differ from the
         scalar one in the last bits."""
-        sig, fwd, snr_e = self.advance(U.T, self.start, 0, self.L, np.sqrt)
-        return 0.5 * (np.log2(1.0 + sig / (fwd + self.s2)) - np.log2(1.0 + snr_e))
+        return self.batch(U.T, np.array([self.start]), 0, np.log2)
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
@@ -202,7 +217,8 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
             ) -> tuple[list[tuple[float, np.ndarray, bool]], int, int]:
     """Cyclic coordinate ascent with golden-section line searches, all
     starts in lockstep, for at most _MAX_CYCLES cycles; a start has converged
-    once a cycle gains less than SearchConfig.refine_tol.
+    once a cycle gains less than SearchConfig.refine_tol, or nothing at a
+    nan best.
 
     Each cycle runs every line (layer, lo, hi) in turn, moving u[lo:hi] to
     a common value: the single coordinates, then each wide layer as a block;
@@ -242,7 +258,7 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
 
                 def f(x):
                     ul[lo:hi] = [x] * (hi - lo)
-                    return obj.value(obj.advance(ul, state, l, obj.L))
+                    return obj.value(obj.advance(ul, state, l, obj.L), ul)
 
                 x_best, v_best = scan[j], row[j]
                 x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
@@ -252,19 +268,15 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
                     best[k] = v_best
                     us[k][lo:hi] = x_best
             evals += len(live) * (ns + _GOLDEN_STEPS + 2)
-        still = []
         for k, b0 in zip(live, before):
-            if best[k] - b0 < SearchConfig.refine_tol:
-                conv[k] = True
-            else:
-                still.append(k)
-        live = still
-    finals = []
+            # a nan best never improves, so a nan gain ends the start too
+            conv[k] = not best[k] - b0 >= SearchConfig.refine_tol
+        live = [k for k in live if not conv[k]]
+    # live starts stay in index order, so a start merges only into a lower
+    # index, whose own representative is final by the time it is read
     for k in range(n):
-        r = k
-        while rep[r] != r:
-            r = rep[r]
-        finals.append((best[r], us[r], conv[r]))
+        rep[k] = rep[rep[k]]
+    finals = [(best[r], us[r], conv[r]) for r in rep]
     return finals, evals, sum(r != k for k, r in enumerate(rep))
 
 
@@ -276,12 +288,14 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     (resolution limited by an evaluation budget), otherwise a seeded random
     scan. The best candidates seed cyclic coordinate ascent with
     golden-section line refinement. Deterministic for a fixed config.
+    Raises OverflowError where a power passes the float range at a point
+    the search evaluates, or where the best rate it finds is not finite.
     """
     cfg = cfg or SearchConfig()
     dim = int(sum(net.nodes_per_layer))
     if dim > 16:
         raise ValueError("search dimension above 16 is unsupported")
-    snoop = _snooped_nodes(net, snooped)
+    obj = _Objective(net, _snooped_nodes(net, snooped))
 
     rng = np.random.default_rng(cfg.seed)
     cands = [np.ones((1, dim))]
@@ -293,21 +307,19 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         mesh = np.meshgrid(*axes, indexing="ij")
         cands.append(np.stack([g.ravel() for g in mesh], axis=1))
     # per-layer symmetric product grid: all nodes of a layer share one value
-    per_layer = int(round(3000 ** (1.0 / net.L)))
-    per_layer = max(3, min(per_layer, 41))
+    per_layer = max(3, min(int(round(3000 ** (1.0 / net.L))), 41))
     sym_axes = np.meshgrid(*([np.linspace(0.0, 1.0, per_layer)] * net.L),
                            indexing="ij")
     sym = np.stack([g.ravel() for g in sym_axes], axis=1)
     cands.append(np.repeat(sym, net.nodes_per_layer, axis=1))
     # one layer backed off onto a log scale, everything else at the bound
-    offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
+    offs = obj.offs
     for l in range(net.L):
         fam = np.ones((_LOG_FAMILY.size, dim))
         fam[:, offs[l]:offs[l + 1]] = _LOG_FAMILY[:, None]
         cands.append(fam)
     cands.append(rng.random((_RANDOM_SCAN, dim)))
     U = np.vstack(cands)
-    obj = _Objective(net, snoop)
     vals = obj.scan(U)
     n_starts = min(cfg.restarts, len(vals))
     order = _top_k(vals, n_starts)
@@ -320,10 +332,13 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
 
     best_val = max(v for v, _, _ in finals)
     # deterministic tie-break: among near-best finals, lexicographically
-    # smallest beta vector
-    tied = [u for v, u, _ in finals if best_val - v <= cfg.refine_tol]
-    chosen = min((cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax) for u in tied),
-                 key=lambda c: np.concatenate(c.betas).tolist())
+    # smallest beta vector, each distinct final propagated once
+    tied = {u.tobytes(): u for v, u, _ in finals if best_val - v <= cfg.refine_tol}
+    if not tied:
+        # nothing ties with an inf or nan best: the rate left the float range
+        raise OverflowError(f"the search's best secrecy rate is {best_val}")
+    chosen = min(map(obj.kernel, tied.values()),
+                 key=lambda c: [b for row in c.betas for b in row])
     agree = best_val - min(v for v, _, _ in finals) <= max(cfg.refine_tol, 1e-9)
     diag = OracleDiagnostics(
         n_evals=int(U.shape[0]) + evals,
@@ -335,7 +350,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         best_objective=max(best_val, initial_best),
         start_objectives=tuple(float(v) for v, _, _ in finals),
     )
-    return OracleResult(beta=chosen.scaling(), rate=_rate_reports(net, chosen, snoop).point(),
+    return OracleResult(beta=chosen.scaling(), rate=_rate_reports(net, chosen, obj.snoop).point(),
                         diagnostics=diag)
 
 

@@ -177,4 +177,4 @@ def random_diamond(rng: np.random.Generator, N_max: int = 3) -> LayeredNetwork:
 def random_feasible_scaling(rng: np.random.Generator,
                             net: LayeredNetwork) -> ScalingVector:
     """Uniform draw in the feasible set via the cascaded-bound map."""
-    return cascade(net, lambda l, bmax: rng.random(bmax.size) * bmax).scaling()
+    return cascade(net, lambda l, bmax: rng.random(len(bmax)) * bmax).scaling()

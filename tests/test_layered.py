@@ -226,7 +226,7 @@ class TestLemmaBetaM:
         m = net.M - 1
         allmax = cascade(net, lambda l, bmax: bmax, P_s)
         co = _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax)
-        return lemma_beta_M(co, net.gain_out(m), net.common_h_e, allmax.bounds[m][:, 0])
+        return lemma_beta_M(co, net.gain_out(m), net.common_h_e, allmax.bounds[m][0])
 
     @staticmethod
     def _alone(net, p):

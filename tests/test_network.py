@@ -52,7 +52,7 @@ class TestValidation:
     @staticmethod
     def _first_offender(beta, beta_max):
         # the per-element loop the array check replaced: layers in order,
-        # each layer's (B, N_l) row flattened point by point
+        # each layer's row flattened in row order
         for brow, mrow in zip(beta, beta_max):
             for b, m in zip(np.ravel(brow).tolist(), np.ravel(mrow).tolist()):
                 if b > m * (1 + 1e-9) + 1e-15:
@@ -62,22 +62,25 @@ class TestValidation:
     def test_batch_rows_name_the_first_offender(self):
         rng = np.random.default_rng(77)
         for _ in range(100):
+            # drawn as (B, N_l) arrays; checked, as a batch's rows are laid
+            # out, as one (B,) column per node
             bounds = [rng.uniform(0.1, 2.0, (5, int(rng.integers(1, 4)))) for _ in range(3)]
             beta = [b * rng.uniform(0.5, 1.0, b.shape) for b in bounds]
-            _check_scaling(beta, bounds)
-            _check_scaling(bounds, bounds)
+            beta_cols, bound_cols = [list(b.T) for b in beta], [list(b.T) for b in bounds]
+            _check_scaling(beta_cols, bound_cols)
+            _check_scaling(bound_cols, bound_cols)
             for _ in range(int(rng.integers(1, 4))):
                 l = int(rng.integers(3))
                 k = int(rng.integers(beta[l].size))
                 beta[l].flat[k] = bounds[l].flat[k] * rng.uniform(1.01, 2.0)
-            message = self._first_offender(beta, bounds)
+            message = self._first_offender(beta_cols, bound_cols)
             assert message is not None
             with pytest.raises(ValueError) as exc:
-                _check_scaling(beta, bounds)
+                _check_scaling(beta_cols, bound_cols)
             assert str(exc.value) == message
             beta[2][-1, -1] = math.nan
             with pytest.raises(ValueError, match="finite and >= 0"):
-                _check_scaling(beta, None)
+                _check_scaling(beta_cols, None)
 
     @pytest.mark.parametrize("cls, override, message", [
         (LayeredNetwork, dict(L=0, nodes_per_layer=()), "L must be >= 1"),
@@ -258,6 +261,16 @@ class TestRates:
         rep = rates(net, beta_max_vector(net))
         assert rep.r_t == 0.0
         assert rep.r_s == 0.0
+
+    def test_powers_past_the_float_range_raise(self):
+        # P_s h_s^2 = 1e320: a point on floats, which ignore np.errstate, and
+        # a batch holding such a point both raise rather than return inf
+        net = LayeredNetwork.diamond(N=2, h_s=1e10, h_t=1.0, h_e=0.5, P_s=1e300, P=1.0,
+                                     sigma2=1.0)
+        with pytest.raises(OverflowError):
+            beta_max_vector(net)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            cascade(net, lambda l, bmax: bmax, np.array([1.0, 1e300]))
 
     @pytest.mark.parametrize("h_e", [1e60, 1e200])
     def test_eavesdropper_snr_whose_terms_pass_the_float_range(self, h_e):

@@ -1,7 +1,7 @@
 """Search-oracle behavior: determinism, feasibility, and agreement with the
 closed forms on reference instances."""
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,14 +194,22 @@ def test_batched_line_values_equal_scalar_objective(net):
             np.testing.assert_allclose(obj.scan(X.T), scalar, rtol=0, atol=1e-12)
 
 
+def _kernel_objective(net, u, snoop):
+    """r_t - r_e of the kernel's cascade at betas u * bound."""
+    offs = np.cumsum((0,) + net.nodes_per_layer).tolist()
+    c = cascade(net, lambda l, bmax: [x * b for x, b in zip(u[offs[l]:offs[l + 1]], bmax)])
+    rep = _rate_reports(net, c, snoop).point()
+    return rep.r_t - rep.r_e
+
+
 def test_objective_is_the_kernels_rates():
     # the oracle's objective at u equals r_t - r_e of the kernel's cascade
     # at betas u * bound, bit for bit: one squaring rule, one summation
-    # order. Widths stay below 8, where numpy's pairwise sum is sequential.
+    # order, at every width a layer of a searchable network can have
     rng = np.random.default_rng(41)
     for _ in range(40):
         L = int(rng.integers(1, 4))
-        widths = tuple(int(n) for n in rng.integers(1, 8, L))
+        widths = tuple(int(n) for n in rng.integers(1, 17, L))
         offs = np.cumsum((0,) + widths).tolist()
         for M in range(1, L + 1):
             net = LayeredNetwork(
@@ -217,9 +225,25 @@ def test_objective_is_the_kernels_rates():
             for _ in range(25):
                 u = rng.random(offs[-1])
                 u[rng.random(offs[-1]) < 0.2] = rng.choice([0.0, 1.0])
-                c = cascade(net, lambda l, bmax: u[offs[l]:offs[l + 1]] * bmax)
-                rep = _rate_reports(net, c, snoop).point()
-                assert obj(u.tolist()) == rep.r_t - rep.r_e, (net, snoop, u.tolist())
+                assert obj(u.tolist()) == _kernel_objective(net, u.tolist(), snoop), \
+                    (net, snoop, u.tolist())
+
+
+def test_objective_defers_to_the_kernel_past_the_float_range():
+    # the eavesdropper's signal power passes the float range, its SNR does
+    # not: the objective takes the kernel's value there, which rescues the
+    # SNR point by point, in every form the objective is evaluated
+    net = LayeredNetwork.diamond(
+        N=2, h_s=1.0, h_t=1.0, h_e=(9.207416006867998e+109, 1.0347502824058397e+151),
+        P_s=188.22786081696952, P=4.226992132749403e+290, sigma2=4.1640104539120186e-299)
+    u = [1.3895988059463554e-05, 4.472909140396663e-10]
+    obj = _Objective(net, (0, 1))
+    want = _kernel_objective(net, u, (0, 1))
+    assert want == 4.643668444259674e-05
+    assert obj(u) == want
+    X = np.array([u, [1.0, 1.0]]).T
+    assert obj.batch(X, np.array([obj.start] * 2), 0)[0] == want
+    assert obj.scan(X.T)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_search_with_squares_past_the_float_range():
@@ -232,6 +256,18 @@ def test_search_with_squares_past_the_float_range():
     assert res.rate.r_s == 0.0
     assert 0.0 <= res.rate.snr_e < 1e-99
     assert all(np.isfinite(v) for v in res.diagnostics.start_objectives)
+
+
+@pytest.mark.parametrize("changes", [dict(sigma2=1e-320), dict(P_s=1e300, h_s=1e10)])
+def test_search_refuses_results_past_the_float_range(changes):
+    # sigma2 = 1e-320 takes the destination's SNR past the float range, and
+    # P_s h_s^2 = 1e320 the powers themselves: the search raises rather than
+    # rank or report values that are not finite
+    net = replace(LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
+                                 h_t=0.203, h_e=0.031, M=2, P_s=5e8, P=500.0, sigma2=1.0),
+                  **changes)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        maximize_secrecy(net, cfg=SearchConfig(restarts=4))
 
 
 @pytest.mark.parametrize("net", RAGGED[2:])

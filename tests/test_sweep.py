@@ -84,11 +84,11 @@ def test_fig5_presets_equal_the_per_point_rows():
         assert rows == [_point_row(cfg.network, p) for p in cfg.sweep.values().tolist()]
 
 
-def _per_node_draw(rng) -> LayeredNetwork:
-    """1-3 layers of ragged widths 1-3 with a cap and, on layer M, an
-    eavesdropper gain per node."""
+def _per_node_draw(rng, widths: tuple[int, int] = (1, 3)) -> LayeredNetwork:
+    """1-3 layers of ragged widths in the closed range `widths` with a cap
+    and, on layer M, an eavesdropper gain per node."""
     L = int(rng.integers(1, 4))
-    nodes = tuple(int(rng.integers(1, 4)) for _ in range(L))
+    nodes = tuple(int(rng.integers(widths[0], widths[1] + 1)) for _ in range(L))
     M = int(rng.integers(1, L + 1))
     return LayeredNetwork(
         L=L, nodes_per_layer=nodes, h_s=float(rng.uniform(0.05, 1.3)),
@@ -101,21 +101,23 @@ def _per_node_draw(rng) -> LayeredNetwork:
 
 def test_batch_points_equal_the_points_alone():
     # every column of a batched cascade, and every rate of optimal_rates, is
-    # the point computed alone, bit for bit
+    # the point computed alone, bit for bit; the last draw's layers are 8-12
+    # nodes wide, where a pairwise sum would part from the sequential one
     rng = np.random.default_rng(2026)
     P_s = np.geomspace(1e-2, 1e9, 37)
-    for _ in range(60):
-        net = _per_node_draw(rng)
+    for draw in range(61):
+        net = _per_node_draw(rng, (8, 12) if draw == 60 else (1, 3))
         fractions = [rng.random(n) for n in net.nodes_per_layer]
-        for policy in (lambda l, bmax: bmax, lambda l, bmax: fractions[l] * bmax):
+        for policy in (lambda l, bmax: bmax,
+                       lambda l, bmax: [f * b for f, b in zip(fractions[l].tolist(), bmax)]):
             batch = cascade(net, policy, P_s)
             for k, p in enumerate(P_s.tolist()):
                 alone = cascade(replace(net, P_s=p), policy)
                 for name, rows, column in zip(batch._fields, batch, alone):
                     for row, value in zip(rows, column):
                         # a batch's entries that do not vary (fwd into layer
-                        # 1) stay scalars
-                        point = row[k] if np.ndim(row) else row
+                        # 1) stay scalars; betas and bounds are node columns
+                        point = np.take(row, k, axis=-1) if np.ndim(row) else row
                         assert np.array_equal(point, value), (net, p, name)
         # the draw made a lemma network: each layer's first cap for the
         # whole layer, and the first eavesdropper gain for all of layer M
