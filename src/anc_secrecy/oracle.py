@@ -8,6 +8,7 @@ iterate is feasible by construction (projection is implicit).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Iterable, NamedTuple
@@ -28,6 +29,11 @@ _MAX_CYCLES = 60
 _GRID_POINTS = 101
 _GRID_BUDGET = 20_000
 _RANDOM_SCAN = 4_096
+# candidates per call at most: the per-layer symmetric grid alone has 3^L
+# points from L = 7 on, so this refuses every search on 13 or more layers
+_MAX_CANDIDATES = 1_000_000
+# coarse-scan candidates per batch, so that a batch's temporaries stay in cache
+_SCAN_BLOCK = 8_192
 # line-search abscissae: linear coverage plus a logarithmic tail toward 0,
 # because an optimum can sit at a tiny fraction of the feasible bound when
 # the eavesdropper dominates (the secrecy-positive region is then a thin
@@ -181,8 +187,12 @@ class _Objective:
     def scan(self, U: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
         candidates: the logs are np.log2's, so a value may differ from the
-        scalar one in the last bits."""
-        return self.batch(U.T, np.array([self.start]), 0, np.log2)
+        scalar one in the last bits. The rows go through `batch` in blocks of
+        _SCAN_BLOCK, each deferring its own non-finite columns to the kernel;
+        every value is elementwise, so the blocks change none of them."""
+        start = np.array([self.start])
+        return np.concatenate([self.batch(U[i:i + _SCAN_BLOCK].T, start, 0, np.log2)
+                               for i in range(0, len(U), _SCAN_BLOCK)])
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
@@ -280,16 +290,62 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     return finals, evals, sum(r != k for k, r in enumerate(rep))
 
 
+@functools.lru_cache(maxsize=16)
+def _candidates(widths: tuple[int, ...], seed: int) -> np.ndarray:
+    """The coarse scan's candidates for a network of these layer widths, one
+    per column of a read-only, C-contiguous (dim, B) array, in this order:
+    the all-ones point; the exhaustive grid when dim <= 8 (resolution
+    limited by an evaluation budget); the per-layer symmetric grid, where
+    all nodes of a layer share one value; one layer backed off onto a log
+    scale, everything else at the bound, for each layer; and _RANDOM_SCAN
+    points from np.random.default_rng(seed), which draws nothing else.
+
+    A pure function of (widths, seed), so it is built once per pair and
+    cached. Raises ValueError, before any array is built, where the count
+    passes _MAX_CANDIDATES. That limit caps an entry at about 69 MB (L = 12
+    with dim 16: 535,814 candidates), so the cache holds at most about
+    1.1 GB, and a few MB for the networks the search usually sees.
+    """
+    dim, L = sum(widths), len(widths)
+    per_dim = _GRID_POINTS
+    while per_dim > 2 and per_dim ** dim > _GRID_BUDGET:
+        per_dim -= 1
+    per_layer = max(3, min(int(round(3000 ** (1.0 / L))), 41))
+    sizes = [1, per_dim ** dim if dim <= 8 else 0, per_layer ** L,
+             L * _LOG_FAMILY.size, _RANDOM_SCAN]
+    if sum(sizes) > _MAX_CANDIDATES:
+        raise ValueError(f"the coarse scan's {sum(sizes)} candidates exceed the limit of "
+                         f"{_MAX_CANDIDATES} (the per-layer grid has {per_layer}^{L} points)")
+    C = np.ones((dim, sum(sizes)))
+    at = np.cumsum(sizes).tolist()
+    if sizes[1]:
+        mesh = np.meshgrid(*([np.linspace(0.0, 1.0, per_dim)] * dim), indexing="ij")
+        for row, g in zip(C[:, at[0]:at[1]], mesh):
+            row[:] = g.ravel()
+    offs = np.cumsum((0,) + widths).tolist()
+    sym = np.meshgrid(*([np.linspace(0.0, 1.0, per_layer)] * L), indexing="ij")
+    for l, g in enumerate(sym):
+        C[offs[l]:offs[l + 1], at[1]:at[2]] = g.ravel()
+        a = at[2] + l * _LOG_FAMILY.size
+        C[offs[l]:offs[l + 1], a:a + _LOG_FAMILY.size] = _LOG_FAMILY
+    C[:, at[3]:] = np.random.default_rng(seed).random((_RANDOM_SCAN, dim)).T
+    C.flags.writeable = False
+    return C
+
+
 def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
                      cfg: SearchConfig | None = None) -> OracleResult:
     """Search the feasible box for the scaling vector maximizing R_t - R_e.
 
-    Coarse phase: exhaustive grid when the total dimension is at most 8
-    (resolution limited by an evaluation budget), otherwise a seeded random
-    scan. The best candidates seed cyclic coordinate ascent with
-    golden-section line refinement. Deterministic for a fixed config.
-    Raises OverflowError where a power passes the float range at a point
-    the search evaluates, or where the best rate it finds is not finite.
+    Coarse phase: `_Objective.scan` ranks the candidates of `_candidates`,
+    built once per (layer widths, seed) and cached read-only: an exhaustive
+    grid when the total dimension is at most 8, structured families and a
+    seeded random scan. The best candidates seed cyclic coordinate ascent
+    with golden-section line refinement. Deterministic for a fixed config.
+    Raises ValueError where the dimension passes 16 or the candidates pass
+    _MAX_CANDIDATES, and OverflowError where a power passes the float range
+    at a point the search evaluates, or where the best rate it finds is not
+    finite.
     """
     cfg = cfg or SearchConfig()
     dim = int(sum(net.nodes_per_layer))
@@ -297,35 +353,14 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         raise ValueError("search dimension above 16 is unsupported")
     obj = _Objective(net, _snooped_nodes(net, snooped))
 
-    rng = np.random.default_rng(cfg.seed)
-    cands = [np.ones((1, dim))]
-    if dim <= 8:
-        per_dim = _GRID_POINTS
-        while per_dim > 2 and per_dim ** dim > _GRID_BUDGET:
-            per_dim -= 1
-        axes = [np.linspace(0.0, 1.0, per_dim)] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cands.append(np.stack([g.ravel() for g in mesh], axis=1))
-    # per-layer symmetric product grid: all nodes of a layer share one value
-    per_layer = max(3, min(int(round(3000 ** (1.0 / net.L))), 41))
-    sym_axes = np.meshgrid(*([np.linspace(0.0, 1.0, per_layer)] * net.L),
-                           indexing="ij")
-    sym = np.stack([g.ravel() for g in sym_axes], axis=1)
-    cands.append(np.repeat(sym, net.nodes_per_layer, axis=1))
-    # one layer backed off onto a log scale, everything else at the bound
-    offs = obj.offs
-    for l in range(net.L):
-        fam = np.ones((_LOG_FAMILY.size, dim))
-        fam[:, offs[l]:offs[l + 1]] = _LOG_FAMILY[:, None]
-        cands.append(fam)
-    cands.append(rng.random((_RANDOM_SCAN, dim)))
-    U = np.vstack(cands)
+    U = _candidates(tuple(net.nodes_per_layer), cfg.seed).T
     vals = obj.scan(U)
     n_starts = min(cfg.restarts, len(vals))
     order = _top_k(vals, n_starts)
     starts = U[order]
     initial_best = float(vals[order[0]])
 
+    offs = obj.offs
     lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
     lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
     finals, evals, n_merged = _refine(obj, starts, lines)

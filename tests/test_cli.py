@@ -270,6 +270,23 @@ class TestCliProcess:
         assert capsys.readouterr().err.startswith(
             "model error: delta = 0: the bounds need delta > 0")
 
+    def test_exit_2_search_over_the_candidate_limit(self, tmp_path, capsys, monkeypatch):
+        # 16 layers of one node: one search at dim 16, whose per-layer grid
+        # alone has 3^16 points; refused before any grid is built
+        def meshgrid(*args, **kwargs):
+            raise AssertionError("a candidate grid was built")
+
+        monkeypatch.setattr("numpy.meshgrid", meshgrid)
+        d = {"network": {"L": 16, "N": 1, "h_s": 0.6, "h": [0.5] * 15, "h_t": 0.3,
+                         "h_e": 0.2, "M": 16, "P_s": 5.0, "P": 5.0, "sigma2": 1.0},
+             "mode": "subset", "seed": 0}
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["subset", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: the coarse scan's 43051186 candidates")
+        assert "exceed the limit of 1000000" in err
+
     def test_requires_exactly_one_source(self):
         r = _run_cli(["solve"])
         assert r.returncode == 1

@@ -15,7 +15,9 @@ from anc_secrecy import (
     verify_against_closed_form,
 )
 from anc_secrecy.network import _rate_reports, cascade
-from anc_secrecy.oracle import _LINE_SCAN, _Objective, _refine, _top_k
+from anc_secrecy.oracle import (_GRID_BUDGET, _GRID_POINTS, _LINE_SCAN, _LOG_FAMILY,
+                                _RANDOM_SCAN, _SCAN_BLOCK, _candidates, _Objective, _refine,
+                                _top_k)
 from conftest import random_diamond, random_ecgal
 
 EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
@@ -244,6 +246,92 @@ def test_objective_defers_to_the_kernel_past_the_float_range():
     X = np.array([u, [1.0, 1.0]]).T
     assert obj.batch(X, np.array([obj.start] * 2), 0)[0] == want
     assert obj.scan(X.T)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_blocked_scan_equals_one_batch():
+    # more than two blocks, the last one partial; about half the candidates
+    # defer to the kernel (their eavesdropper power passes the float range),
+    # in every block, and the point of the test above sits in two blocks
+    net = LayeredNetwork.diamond(
+        N=2, h_s=1.0, h_t=1.0, h_e=(9.207416006867998e+109, 1.0347502824058397e+151),
+        P_s=188.22786081696952, P=4.226992132749403e+290, sigma2=4.1640104539120186e-299)
+    obj = _Objective(net, (0, 1))
+    rng = np.random.default_rng(8)
+    n = 2 * _SCAN_BLOCK + 1000
+    U = rng.random((n, 2))
+    U[rng.random(n) < 0.5] *= 1e-150
+    U[[5, _SCAN_BLOCK + 7]] = [1.3895988059463554e-05, 4.472909140396663e-10]
+    vals = obj.scan(U)
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+    assert np.isfinite(vals).all()
+    assert vals[5] == vals[_SCAN_BLOCK + 7] == pytest.approx(4.643668444259674e-05, rel=1e-12)
+
+
+def _candidates_before_the_cache(widths, seed):
+    """The coarse scan's candidates as maximize_secrecy built them inline
+    before they were cached: one per row."""
+    dim, L = sum(widths), len(widths)
+    rng = np.random.default_rng(seed)
+    cands = [np.ones((1, dim))]
+    if dim <= 8:
+        per_dim = _GRID_POINTS
+        while per_dim > 2 and per_dim ** dim > _GRID_BUDGET:
+            per_dim -= 1
+        mesh = np.meshgrid(*([np.linspace(0.0, 1.0, per_dim)] * dim), indexing="ij")
+        cands.append(np.stack([g.ravel() for g in mesh], axis=1))
+    per_layer = max(3, min(int(round(3000 ** (1.0 / L))), 41))
+    sym_axes = np.meshgrid(*([np.linspace(0.0, 1.0, per_layer)] * L), indexing="ij")
+    sym = np.stack([g.ravel() for g in sym_axes], axis=1)
+    cands.append(np.repeat(sym, widths, axis=1))
+    offs = np.cumsum((0,) + widths).tolist()
+    for l in range(L):
+        fam = np.ones((_LOG_FAMILY.size, dim))
+        fam[:, offs[l]:offs[l + 1]] = _LOG_FAMILY[:, None]
+        cands.append(fam)
+    cands.append(rng.random((_RANDOM_SCAN, dim)))
+    return np.vstack(cands)
+
+
+@pytest.mark.parametrize("widths", [(1,), (3,), (2, 2), (1, 3, 2), (3, 3, 3), (2, 1, 4, 1, 3),
+                                    (1,) * 8])
+def test_candidates_are_cached_read_only(widths):
+    C = _candidates(widths, 4)
+    assert C.flags.c_contiguous and C.shape[0] == sum(widths)
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.5
+    assert _candidates(widths, 4) is C
+    assert np.array_equal(C.T, _candidates_before_the_cache(widths, 4))
+    # only the seeded block depends on the seed
+    other = _candidates(widths, 5)
+    assert np.array_equal(other[:, :-_RANDOM_SCAN], C[:, :-_RANDOM_SCAN])
+    assert (other[:, -_RANDOM_SCAN:] != C[:, -_RANDOM_SCAN:]).all()
+
+
+def test_search_reuses_its_candidates():
+    cfg = SearchConfig(restarts=6, seed=77)
+    _candidates.cache_clear()
+    first = maximize_secrecy(RAGGED[0], cfg=cfg)
+    assert _candidates.cache_info().misses == 1
+    second = maximize_secrecy(RAGGED[0], cfg=cfg)
+    assert _candidates.cache_info().hits == 1
+    assert (first.beta, first.rate, first.diagnostics) == \
+        (second.beta, second.rate, second.diagnostics)
+
+
+@pytest.mark.parametrize("L, count", [(13, 1_598_719), (16, 43_051_186)])
+def test_search_refuses_more_candidates_than_the_limit(monkeypatch, L, count):
+    # the per-layer grid has 3^L points: refused before any grid is built
+    def meshgrid(*args, **kwargs):
+        raise AssertionError("a candidate grid was built")
+
+    monkeypatch.setattr("numpy.meshgrid", meshgrid)
+    net = LayeredNetwork(L=L, nodes_per_layer=(1,) * L, h_s=0.6, h=(0.5,) * (L - 1),
+                         h_t=0.3, h_e=0.2, M=L, P_s=5.0, P=5.0, sigma2=1.0)
+    with pytest.raises(ValueError, match=f"{count} candidates exceed the limit of 1000000"):
+        maximize_secrecy(net)
+    # L = 12 (535,814 candidates) passes the guard and reaches the grid
+    with pytest.raises(AssertionError, match="a candidate grid was built"):
+        _candidates((1,) * 12, 0)
 
 
 def test_search_with_squares_past_the_float_range():
