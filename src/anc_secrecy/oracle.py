@@ -58,6 +58,13 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
+    """What a search did. n_evals counts the objective evaluations performed:
+    the coarse scan's candidates, each start's first value, and each line
+    search run (its scan and golden-section steps), but not a line search
+    served from the memo of searches already run (see `_refine`), so it
+    reads lower than starts times lines times cycles. n_merged counts the
+    starts that finished on a trajectory shared with a lower-index start."""
+
     n_evals: int
     n_starts: int
     n_merged: int
@@ -97,7 +104,8 @@ class _Objective:
     rules (see `network`): nodes and eavesdropper terms summed by += in node
     order, every square as x * x. A state is (sig, fwd, num, den) entering a
     layer, the last two the eavesdropper's signal and noise powers, so a line
-    search that moves only layer l computes the layers before l once. Where
+    search that moves only layer l computes the layers before l once, and
+    `line` forms what layer l's fixed nodes contribute once too. Where
     a state entry is not finite, the value is the kernel's at that u, which
     rescues the eavesdropper's SNR, or raises OverflowError where a power
     itself passes the float range: the objective keeps no overflow rule of
@@ -168,6 +176,69 @@ class _Objective:
     def __call__(self, u) -> float:
         return self.value(self.advance(u, self.start, 0, self.L), u)
 
+    def line(self, ul: list[float], state, l: int, lo: int, hi: int):
+        """f(x), the value at ul with u[lo:hi] (all in layer l) set to x, from
+        the state entering layer l. Layer l's per-node sqrt(p / rx), its fixed
+        nodes' betas and eavesdropper terms, and the sums over the nodes before
+        lo are formed once per line; f(x) adds the rest by += in node order and
+        continues through `advance` from layer l + 1, so f(x) == self(u) bit
+        for bit. ul is copied; where the state is not finite, f writes x into
+        the copy for the kernel to read."""
+        s2, (nodes, g, eav) = self.s2, self.layers[l]
+        sig, fwd, num, den = state
+        rx = sig + fwd + s2
+        at, off = lo - nodes[0][0], hi - nodes[0][0]
+        roots = [math.sqrt(p / rx) for _, p in nodes]
+        bs = [ul[k] * r for (k, _), r in zip(nodes, roots)]
+        s0 = q0 = w0 = own0 = 0.0
+        for b in bs[:at]:
+            s0 += b
+            q0 += b * b
+        moved, rest = roots[at:off], [(b, b * b) for b in bs[off:]]
+        # the eavesdropper's terms beta * h from the first moved node on: a
+        # fixed node's as its value, a moved node's as (root, h), its beta
+        # being x * root
+        terms = []
+        for i, h in eav:
+            if at <= i < off:
+                terms.append((None, roots[i], h))
+            elif terms:
+                terms.append((bs[i] * h, None, None))
+            else:
+                t = bs[i] * h
+                w0 += t
+                own0 += t * t
+        u, L, n = list(ul), self.L, hi - lo
+        down = l + 1 < L
+
+        def f(x: float) -> float:
+            s_sum, q_sum = s0, q0
+            for r in moved:
+                b = x * r
+                s_sum += b
+                q_sum += b * b
+            for b, bb in rest:
+                s_sum += b
+                q_sum += bb
+            e_num, e_den = num, den
+            if eav:
+                w, own = w0, own0
+                for t, r, h in terms:
+                    if r is not None:
+                        t = x * r * h
+                    w += t
+                    own += t * t
+                w *= w
+                e_num, e_den = sig * w, fwd * w + s2 * own + s2
+            s_sum *= s_sum
+            out = (sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g, e_num, e_den)
+            if down:
+                out = self.advance(u, out, l + 1, L)
+            if not out[0] + out[1] + out[2] + out[3] < math.inf:
+                u[lo:hi] = [x] * n  # the point the kernel evaluates
+            return self.value(out, u)
+        return f
+
     def batch(self, X: np.ndarray, states: np.ndarray, l0: int, log2=None):
         """Values of the columns of X from per-column states (B, 4) entering
         layer l0, as a list, each by math.log2 as the scalar value is, so
@@ -233,17 +304,26 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     Each cycle runs every line (layer, lo, hi) in turn, moving u[lo:hi] to
     a common value: the single coordinates, then each wide layer as a block;
     block moves escape the diagonal traps where every single-coordinate move
-    from a coordinate-wise maximum loses. A line is a coarse scan, batched
-    over the starts, plus a golden-section refinement of the bracketing
-    interval. At each cycle boundary, live starts in bitwise-equal states
-    merge into the lowest-index one: their futures are identical, so only
-    the work is shared. Returns per-start (best, u, converged), the number
-    of evaluations performed and the number of merged starts.
+    from a coordinate-wise maximum loses. A line search is a coarse scan,
+    batched over the searches a line needs, plus a golden-section refinement
+    of the bracketing interval, by `_Objective.line`. A line search reads
+    only the coordinates outside its line, so its result (x, value) is kept
+    in a memo for the call, keyed on the line and the bytes of those
+    coordinates. A start whose key is there, from its own earlier cycle or
+    from another start, takes the stored result under its own test (value
+    above its best); only the distinct missing keys are searched. At each
+    cycle boundary, live starts in bitwise-equal states merge into the
+    lowest-index one: their futures are identical, so only the work is
+    shared. Neither saving changes a result. Returns per-start (best, u,
+    converged), the number of evaluations performed and the number of
+    merged starts.
     """
     n, ns, scan = len(starts), _LINE_SCAN.size, _LINE_SCAN.tolist()
     us = [s.astype(float) for s in starts]
     rep, best, conv = list(range(n)), [0.0] * n, [False] * n
     live, evals = list(range(n)), 0
+    # (line index, coordinates outside the line) -> that search's (x, value)
+    memo: dict[tuple[int, bytes], tuple[float, float]] = {}
     for cycle in range(_MAX_CYCLES + 1):
         groups: dict[bytes, int] = {}
         for k in live:
@@ -256,28 +336,29 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
         if cycle == _MAX_CYCLES or not live:
             break
         before = [best[k] for k in live]
-        for l, lo, hi in lines:
-            uls = [us[k].tolist() for k in live]
-            states = [obj.advance(ul, obj.start, 0, l) for ul in uls]
-            X = np.repeat(np.array(uls).T, ns, axis=1)
-            X[lo:hi] = np.tile(_LINE_SCAN, len(live))
-            vals = obj.batch(X, np.repeat(states, ns, axis=0), l)
-            for g, (k, ul, state) in enumerate(zip(live, uls, states)):
-                row = vals[g * ns:(g + 1) * ns]
-                j = int(np.argmax(row))
-
-                def f(x):
-                    ul[lo:hi] = [x] * (hi - lo)
-                    return obj.value(obj.advance(ul, state, l, obj.L), ul)
-
-                x_best, v_best = scan[j], row[j]
-                x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
-                if v_g > v_best:
-                    x_best, v_best = x_g, v_g
-                if v_best > best[k]:
-                    best[k] = v_best
-                    us[k][lo:hi] = x_best
-            evals += len(live) * (ns + _GOLDEN_STEPS + 2)
+        for i, (l, lo, hi) in enumerate(lines):
+            keys = [(i, us[k][:lo].tobytes() + us[k][hi:].tobytes()) for k in live]
+            # one search per key not yet in the memo, at any start that has
+            # it: a search reads no coordinate inside its line
+            todo = {key: k for k, key in zip(live, keys) if key not in memo}
+            if todo:
+                uls = [us[k].tolist() for k in todo.values()]
+                states = [obj.advance(ul, obj.start, 0, l) for ul in uls]
+                X = np.repeat(np.array(uls).T, ns, axis=1)
+                X[lo:hi] = np.tile(_LINE_SCAN, len(uls))
+                vals = obj.batch(X, np.repeat(states, ns, axis=0), l)
+                for g, (key, ul, state) in enumerate(zip(todo, uls, states)):
+                    row = vals[g * ns:(g + 1) * ns]
+                    j = int(np.argmax(row))
+                    x_g, v_g = _golden_max(obj.line(ul, state, l, lo, hi),
+                                           scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
+                    memo[key] = (x_g, v_g) if v_g > row[j] else (scan[j], row[j])
+                evals += len(todo) * (ns + _GOLDEN_STEPS + 2)
+            for k, key in zip(live, keys):
+                x, v = memo[key]
+                if v > best[k]:
+                    best[k] = v
+                    us[k][lo:hi] = x
         for k, b0 in zip(live, before):
             # a nan best never improves, so a nan gain ends the start too
             conv[k] = not best[k] - b0 >= SearchConfig.refine_tol

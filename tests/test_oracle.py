@@ -1,6 +1,7 @@
 """Search-oracle behavior: determinism, feasibility, and agreement with the
 closed forms on reference instances."""
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -182,6 +183,8 @@ def test_batched_line_values_equal_scalar_objective(net):
     n_m = net.nodes_per_layer[net.M - 1]
     dim = sum(net.nodes_per_layer)
     ns = _LINE_SCAN.size
+    # off-scan abscissae, from a generator of their own so the bases stay as drawn
+    xs = np.random.default_rng(71).random(6).tolist()
     for snoop in _subsets(n_m):
         obj = _Objective(net, snoop)
         bases = rng.random((3, dim)).tolist() + [[1.0] * dim, [0.0] * dim]
@@ -194,6 +197,14 @@ def test_batched_line_values_equal_scalar_objective(net):
             assert batched == scalar, (snoop, l, lo, hi)
             # the coarse scan takes np.log2: equal up to rounding
             np.testing.assert_allclose(obj.scan(X.T), scalar, rtol=0, atol=1e-12)
+            # the per-line evaluator, at the scan's points and off them
+            for g, (u, state) in enumerate(zip(bases, states)):
+                f = obj.line(u, state, l, lo, hi)
+                assert [f(x) for x in _LINE_SCAN.tolist()] == scalar[g * ns:(g + 1) * ns]
+                for x in xs:
+                    col = list(u)
+                    col[lo:hi] = [x] * (hi - lo)
+                    assert f(x) == obj(col), (snoop, l, lo, hi, u, x)
 
 
 def _kernel_objective(net, u, snoop):
@@ -246,6 +257,16 @@ def test_objective_defers_to_the_kernel_past_the_float_range():
     X = np.array([u, [1.0, 1.0]]).T
     assert obj.batch(X, np.array([obj.start] * 2), 0)[0] == want
     assert obj.scan(X.T)[0] == pytest.approx(want, rel=1e-12)
+    # the per-line evaluator at u's own coordinate; the block line moves both
+    # nodes to u[0], where the state is not finite either
+    for l, lo, hi in _lines(net):
+        v = list(u)
+        v[lo:hi] = [u[lo]] * (hi - lo)
+        assert not math.isfinite(sum(obj.advance(v, obj.start, 0, net.L)))
+        got = obj.line(u, obj.advance(u, obj.start, 0, l), l, lo, hi)(u[lo])
+        assert got == obj(v) == _kernel_objective(net, v, (0, 1))
+        if hi - lo == 1:
+            assert got == want
 
 
 def test_blocked_scan_equals_one_batch():
@@ -374,6 +395,18 @@ def test_lockstep_refinement_matches_solo(net):
         assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
     assert merged >= 3
     assert evals <= sum(a[1] for a in alone)
+    # a converged start, and the same start moved inside the first line,
+    # agree outside that line: they never merge, as the first stops after one
+    # cycle, yet they share that line's searches
+    u = alone[0][0][0][1].copy()
+    moved = u.copy()
+    moved[lines[0][1]] = u[lines[0][1]] / 2
+    pair = np.array([u, moved])
+    together, evals, _ = _refine(obj, pair, lines)
+    alone = [_refine(obj, s[None, :], lines) for s in pair]
+    for (best, u, conv), ((b1, u1, c1),) in zip(together, (a[0] for a in alone)):
+        assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
+    assert evals < sum(a[1] for a in alone)
 
 
 def test_top_k_matches_stable_argsort():
