@@ -159,7 +159,9 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         + h_m2 * slack * (n * lam_e + t * (mu + alpha) + n * alpha * snr))
     cal_b = -2.0 * n * nu * h_m2 * he2 * slack
     cal_c = nu * sign
-    if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
+    finite = (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
+              for x in (cal_a, cal_b, cal_c))
+    if not all(finite):
         raise OverflowError("the layer-M quadratic's coefficients are not finite")
     return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu,
                           A=alpha * snr, B=lam_e + mu * f_val, C=mu, D=nu,
@@ -196,10 +198,24 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
 
     Elementwise over a batch: coeffs as `_coefficients` returns it for a
     batch and a (B,) beta_M_max give a LayerMSolution of (B,) arrays, but
-    one sign_positive, since the sign does not depend on P_s. A point gets
-    floats.
+    one sign_positive, since the sign does not depend on P_s. A point, a
+    scalar beta_M_max, runs on floats with the same operations and gets
+    floats; its minimum propagates nan as np.minimum does.
     """
     sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
+    if isinstance(beta_M_max, float) or np.ndim(beta_M_max) == 0:
+        bmax = float(beta_M_max)
+        beta_opt = beta_glb = 0.0
+        if not sign <= 0:
+            cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
+            denom = abs(cal_b) + math.sqrt(cal_b * cal_b + 4.0 * abs(cal_a) * cal_c)
+            if math.isinf(denom):
+                raise OverflowError("the layer-M quadratic's root is not finite")
+            # false for a nan denominator too, as np.where's test is
+            beta_glb = math.sqrt(2.0 * cal_c / denom) if denom > 0 else math.inf
+            beta_opt = bmax if bmax < beta_glb or bmax != bmax else beta_glb
+        clipped = sign > 0 and beta_glb >= bmax * (1 - 1e-12)
+        return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
     bmax = np.asarray(beta_M_max, dtype=float)
     if sign <= 0:
         beta_opt = beta_glb = np.zeros_like(bmax)
@@ -212,9 +228,7 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
             raise OverflowError("the layer-M quadratic's root is not finite")
         beta_opt = np.minimum(bmax, beta_glb)
     clipped = (sign > 0) & (beta_glb >= bmax * (1 - 1e-12))
-    if bmax.ndim:
-        return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
-    return LayerMSolution(float(beta_opt), float(beta_glb), bool(clipped), sign > 0)
+    return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
 
 
 def _lemma_points(net: LayeredNetwork, P_s: np.ndarray | None = None

@@ -24,6 +24,14 @@ same way everywhere. Where the eavesdropper's powers pass the float range,
 `_rate_reports` forms that point's SNR again from terms scaled by a power of
 two; the oracle's objective takes the kernel's value there rather than
 rescaling on its own.
+
+One rule picks the arithmetic: a single point runs on Python floats
+(`+=`, `*`, math.sqrt, math.frexp and ldexp), a batch on numpy (B,)
+columns, and the type of the values passed in decides, never an option.
+`cascade`, `_check_scaling`, `_rate_reports` and, in `layered`,
+`lemma_beta_M` and the finiteness test of `_coefficients` follow it, so a
+point pays no numpy overhead on 1-element arrays and still equals the same
+point as a one-column batch bit for bit.
 """
 from __future__ import annotations
 
@@ -172,7 +180,20 @@ def _check_scaling(beta, beta_max) -> None:
     float, or a batch's (B,) column. Every beta finite and >= 0, and within
     its bound (up to 1e-9 relative, 1e-15 absolute) when the bounds are
     given. An offending beta is named with its bound, the first in row
-    order: node by node, and within a batch's node point by point."""
+    order: node by node, and within a batch's node point by point. A point's
+    rows of floats are checked on floats, a batch's columns by numpy."""
+    if all(isinstance(b, float) for row in beta for b in row):
+        # false for nan and inf as well as for a negative beta
+        if not all(0.0 <= b < math.inf for row in beta for b in row):
+            raise ValueError("scaling factors must be finite and >= 0")
+        if beta_max is not None:
+            if [len(row) for row in beta_max] != [len(row) for row in beta]:
+                raise ValueError("beta and beta_max shapes differ")
+            for brow, mrow in zip(beta, beta_max):
+                for b, m in zip(brow, mrow):
+                    if b > m * (1 + 1e-9) + 1e-15:
+                        raise ValueError(f"beta {b} exceeds its bound {m}")
+        return
     beta = [np.asarray(row, dtype=float) for row in beta]
     if not all((np.isfinite(row) & (row >= 0)).all() for row in beta):
         raise ValueError("scaling factors must be finite and >= 0")
@@ -315,7 +336,8 @@ def cascade(net: LayeredNetwork, policy, P_s=None) -> Cascade:
         s_sum *= s_sum
         sig, fwd = sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g
     # a power past the float range anywhere reaches the destination as inf or nan
-    if not np.isfinite(sig + fwd).all():
+    end = sig + fwd
+    if not (np.isfinite(end).all() if isinstance(end, np.ndarray) else math.isfinite(end)):
         raise OverflowError("the destination's received power is not finite")
     betas, bounds, sigs, fwds = map(list, zip(*layers))
     return Cascade(betas, bounds, sigs + [sig], fwds + [fwd])
@@ -353,32 +375,44 @@ def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[
 def _rate_reports(net: LayeredNetwork, c: Cascade,
                   snooped: Iterable[int] | None = None) -> RateColumns:
     """The rates of each point of a cascade, one point's or a batch's (see
-    `rates`), as columns. The snooped nodes' terms are summed in node order
-    and squared as t * t, and each point's logs are taken by math.log2, so a
-    point of a batch equals the point alone."""
+    `rates`), as columns. The snooped nodes' terms are summed by += in node
+    order and squared as t * t, and each point's logs are taken by math.log2,
+    so a point of a batch equals the point alone. A point runs on floats, a
+    batch on (B,) columns, with the same operations in the same order."""
     s2, m = net.sigma2, net.M - 1
-    snr_t = np.atleast_1d(c.sig[-1] / (c.fwd[-1] + s2)).tolist()
+    point = not isinstance(c.sig[-1], np.ndarray)
+    snr_t = c.sig[-1] / (c.fwd[-1] + s2)
+    snr_t = [float(snr_t)] if point else snr_t.tolist()
     snoop = _snooped_nodes(net, snooped)
     if not snoop:
         return RateColumns.from_snrs(snr_t, [0.0] * len(snr_t))
-    terms = [np.atleast_1d(c.betas[m][i] * net.h_e[i]) for i in snoop]
+    terms = [c.betas[m][i] * net.h_e[i] for i in snoop]
 
     def powers(scale):
         # the eavesdropper's signal and noise powers with every term times
         # scale, a power of two: each rounding is the unscaled one, barring
         # overflow and underflow, and the SNR is their ratio
-        ts = [t * scale for t in terms]
-        w = sum(ts)
+        w = own = 0.0
+        for t in terms:
+            t = t * scale
+            w += t
+            own += t * t
         w = w * w
-        return c.sig[m] * w, c.fwd[m] * w + s2 * sum(t * t for t in ts) + s2 * scale * scale
+        return c.sig[m] * w, c.fwd[m] * w + s2 * own + s2 * scale * scale
 
+    # where a square or a product passes the float range, the point's
+    # largest term is scaled into [0.5, 1): no square overflows then, and a
+    # product does only where a power itself is near the float maximum
+    if point:
+        num, den = powers(1.0)
+        if not (math.isfinite(num) and math.isfinite(den)):
+            # a nan term makes the SNR nan at any scale
+            num, den = powers(math.ldexp(1.0, -math.frexp(max(map(abs, terms)))[1]))
+        return RateColumns.from_snrs(snr_t, [float(num / den)])
     with np.errstate(over="ignore", invalid="ignore"):
         num, den = powers(1.0)
     fits = np.isfinite(num) & np.isfinite(den)
     if not fits.all():
-        # where a square or a product passes the float range, the point's
-        # largest term is scaled into [0.5, 1): no square overflows then, and
-        # a product does only where a power itself is near the float maximum
         big = np.max(np.abs(terms), axis=0)
         num, den = powers(np.where(fits, 1.0, np.ldexp(1.0, -np.frexp(big)[1])))
     return RateColumns.from_snrs(snr_t, (num / den).tolist())

@@ -32,13 +32,16 @@ _RANDOM_SCAN = 4_096
 # candidates per call at most: the per-layer symmetric grid alone has 3^L
 # points from L = 7 on, so this refuses every search on 13 or more layers
 _MAX_CANDIDATES = 1_000_000
-# coarse-scan candidates per batch, so that a batch's temporaries stay in cache
-_SCAN_BLOCK = 8_192
+# the coarse scan's block size in rows, roughly: the rows are split evenly
+# into round(rows / _SCAN_BLOCK) blocks. A block's temporaries (about 32 KB
+# each) then stay in cache, and the allocator does not hand the heap back
+# after one block only to page-fault it in again for the next
+_SCAN_BLOCK = 4_096
 # line-search abscissae: linear coverage plus a logarithmic tail toward 0,
 # because an optimum can sit at a tiny fraction of the feasible bound when
 # the eavesdropper dominates (the secrecy-positive region is then a thin
 # sliver next to zero)
-_LINE_SCAN = np.unique(np.concatenate((
+_LINE_SCAN = np.sort(np.concatenate((
     [0.0], np.logspace(-6.0, -1.0, 6), np.linspace(1.0 / 12.0, 1.0, 12))))
 _LOG_FAMILY = np.concatenate(([0.0], np.logspace(-7.0, 0.0, 22)))
 
@@ -239,41 +242,53 @@ class _Objective:
             return self.value(out, u)
         return f
 
-    def batch(self, X: np.ndarray, states: np.ndarray, l0: int, log2=None):
-        """Values of the columns of X from per-column states (B, 4) entering
-        layer l0, as a list, each by math.log2 as the scalar value is, so
-        equal to it bit for bit; or, with log2 (np.log2), as an array. Where a
+    def batch(self, X: np.ndarray, states, l0: int, log2=None):
+        """Values of the columns of X from the states entering layer l0, a
+        (B, 4) array of per-column states, as a list, each by math.log2 as
+        the scalar value is, so equal to it bit for bit; or, with log2
+        (np.log2), as an array, and then the states may also be one state of
+        four floats for every column, as `scan` passes them. Where a
         column's state is not finite, its value is the kernel's, all such
-        columns in one batch."""
+        columns in one batch. Every state entry is >= 0 or nan, so a finite
+        sum over the whole batch proves each column finite, and only a batch
+        whose sum is not finite tests its columns one by one."""
+        state = tuple(states.T) if isinstance(states, np.ndarray) else states
         with np.errstate(over="ignore", invalid="ignore"):
-            sig, fwd, num, den = self.advance(X, tuple(states.T), l0, self.L, np.sqrt)
+            sig, fwd, num, den = self.advance(X, state, l0, self.L, np.sqrt)
             t, e = 1.0 + sig / (fwd + self.s2), 1.0 + num / den
             vals = (0.5 * (log2(t) - log2(e)) if log2 else
                     [0.5 * (math.log2(a) - math.log2(b)) for a, b in zip(t.tolist(), e.tolist())])
-            defer = np.flatnonzero(~np.isfinite(sig + fwd + num + den))
-            for j, v in zip(defer.tolist(), self.kernel_values(X.T[defer]) if defer.size else ()):
-                vals[j] = v
+            total = sig + fwd + num + den
+            if not math.isfinite(total.sum()):
+                defer = np.flatnonzero(~np.isfinite(total))
+                for j, v in zip(defer.tolist(),
+                                self.kernel_values(X.T[defer]) if defer.size else ()):
+                    vals[j] = v
         return vals
 
     def scan(self, U: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
         candidates: the logs are np.log2's, so a value may differ from the
-        scalar one in the last bits. The rows go through `batch` in blocks of
-        _SCAN_BLOCK, each deferring its own non-finite columns to the kernel;
-        every value is elementwise, so the blocks change none of them."""
-        start = np.array([self.start])
-        return np.concatenate([self.batch(U[i:i + _SCAN_BLOCK].T, start, 0, np.log2)
-                               for i in range(0, len(U), _SCAN_BLOCK)])
+        scalar one in the last bits. The rows go through `batch` in
+        round(B / _SCAN_BLOCK) even blocks (at least one), each deferring its
+        own non-finite columns to the kernel; every value is elementwise, so
+        the blocks change none of them. The recursion starts from
+        self.start as floats, the point path's rule (see `network`): the
+        state becomes (B,) columns at the first layer, and the
+        eavesdropper's powers stay floats where no node is snooped."""
+        blocks = np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK)))
+        return np.concatenate([self.batch(b.T, self.start, 0, np.log2) for b in blocks])
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, largest first and ties by index: the
     first k of a stable argsort of -vals, without sorting the rest."""
     neg = -vals
-    cand = np.arange(neg.size)
     if k < neg.size:
         kth = np.partition(neg, k - 1)[k - 1]
         cand = np.flatnonzero(~(neg > kth))
+    else:
+        cand = np.arange(neg.size)
     return cand[np.argsort(neg[cand], kind="stable")[:k]]
 
 

@@ -258,6 +258,35 @@ class TestLemmaBetaM:
                                       beta_glb=batch.beta_glb[k], clipped=batch.clipped[k])
         assert covers(batch)
 
+    @pytest.mark.parametrize("net, bound, covers", [
+        (FIG5A, None, lambda sol: math.isfinite(sol.beta_glb)),
+        (LayeredNetwork.diamond(N=2, h_s=0.5, h_t=0.2, h_e=0.6, P_s=4, P=4, sigma2=1), None,
+         lambda sol: not sol.sign_positive),
+        (replace(FIG5A, h_e=0.0), None, lambda sol: sol.beta_glb == math.inf and sol.clipped),
+        (FIG5A, math.nan, lambda sol: math.isnan(sol.beta_opt) and not sol.clipped),
+        (replace(FIG5A, h_e=0.0), math.nan, lambda sol: math.isnan(sol.beta_opt))],
+        ids=["interior", "sign_not_positive", "no_eavesdropper", "nan_bound",
+             "nan_bound_no_eavesdropper"])
+    def test_point_on_floats_equals_a_one_column_batch(self, net, bound, covers):
+        # a point runs on floats, and its minimum propagates nan as
+        # np.minimum does: it is the one-column batch, bit for bit
+        m = net.M - 1
+        sols = []
+        for P_s in (None, np.array([net.P_s])):
+            allmax = cascade(net, lambda l, bmax: bmax, P_s)
+            co = _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax)
+            bmax = allmax.bounds[m][0]
+            if bound is not None:
+                bmax = bound if P_s is None else np.array([bound])
+            sols.append(lemma_beta_M(co, net.gain_out(m), net.common_h_e, bmax))
+        point, column = sols
+        assert (type(point.beta_opt), type(point.beta_glb), type(point.clipped)) == \
+            (float, float, bool)
+        assert point.sign_positive == column.sign_positive
+        assert np.array([point.beta_opt, point.beta_glb, point.clipped]).tobytes() == \
+            np.array([column.beta_opt[0], column.beta_glb[0], column.clipped[0]]).tobytes()
+        assert covers(point)
+
     def test_root_denominator_underflowing_to_zero_clips(self):
         # h_e > 0, but cal_C = nu * sign underflows to 0, and cal_A and cal_B
         # with it: the root's denominator is 0, so beta_glb = inf and layer M

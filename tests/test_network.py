@@ -82,6 +82,38 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite and >= 0"):
                 _check_scaling(beta_cols, None)
 
+    def test_point_rows_name_the_offender_a_one_column_batch_names(self):
+        # a point's rows of floats are checked on floats; they give the
+        # message of the same point as one-column batch rows
+        rng = np.random.default_rng(78)
+
+        def columns(rows):
+            return [[np.array([x]) for x in row] for row in rows]
+        for _ in range(100):
+            bounds = [rng.uniform(0.1, 2.0, int(rng.integers(1, 4))).tolist() for _ in range(3)]
+            beta = [[b * float(rng.uniform(0.5, 1.0)) for b in row] for row in bounds]
+            _check_scaling(beta, bounds)
+            _check_scaling(columns(beta), columns(bounds))
+            for _ in range(int(rng.integers(1, 4))):
+                l = int(rng.integers(3))
+                k = int(rng.integers(len(beta[l])))
+                beta[l][k] = bounds[l][k] * float(rng.uniform(1.01, 2.0))
+            messages = []
+            for args in ((beta, bounds), (columns(beta), columns(bounds))):
+                with pytest.raises(ValueError) as exc:
+                    _check_scaling(*args)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1] == self._first_offender(beta, bounds)
+            for bad in (math.nan, math.inf, -math.inf, -1e-300):
+                beta[2][-1] = bad
+                for rows in (beta, columns(beta)):
+                    with pytest.raises(ValueError, match="finite and >= 0"):
+                        _check_scaling(rows, None)
+        for rows, bound_rows in (([[1.0, 1.0]], [[2.0]]),
+                                 (columns([[1.0, 1.0]]), columns([[2.0]]))):
+            with pytest.raises(ValueError, match="^beta and beta_max shapes differ$"):
+                _check_scaling(rows, bound_rows)
+
     @pytest.mark.parametrize("cls, override, message", [
         (LayeredNetwork, dict(L=0, nodes_per_layer=()), "L must be >= 1"),
         (LayeredNetwork, dict(nodes_per_layer=(2,)), "nodes_per_layer must have L entries"),
@@ -288,6 +320,70 @@ class TestRates:
                 net_p = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=h_e, P_s=p,
                                                P=1e200, sigma2=1e100)
                 assert batch.point(k) == rates(net_p, beta_max_vector(net_p))
+
+
+def _scaled(fractions):
+    """The policy that sends each node at its fraction of its bound."""
+    return lambda l, bmax: [f * b for f, b in zip(fractions, bmax)]
+
+
+def _point_and_one_column(net, policy, snoop=None):
+    """_rate_reports of one point on floats, and of the same point as a
+    one-column batch."""
+    return (_rate_reports(net, cascade(net, policy), snoop),
+            _rate_reports(net, cascade(net, policy, np.array([net.P_s])), snoop))
+
+
+def _same_bits(point, column) -> bool:
+    return (all(type(x) is float for field in point for x in field)
+            and np.array(point).tobytes() == np.array(column).tobytes())
+
+
+class TestPointOnFloats:
+    """A point's rates run on floats; each is the same point's as a
+    one-column batch, bit for bit."""
+
+    def test_rescaled_eavesdropper_snr(self):
+        # sigma2 times the squared eavesdropper terms passes the float range
+        # (about 2e320), so the SNR (about 2e-100) comes from scaled terms
+        net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=(1e60, 1.1e60), P_s=1.0,
+                                     P=1e200, sigma2=1e100)
+        rng = np.random.default_rng(12)
+        for fractions in [[1.0, 1.0]] + rng.uniform(0.1, 1.0, (20, 2)).tolist():
+            policy = _scaled(fractions)
+            c = cascade(net, policy)
+            own = 0.0
+            for b, h in zip(c.betas[0], net.h_e):
+                own += (b * h) * (b * h)
+            assert math.isinf(net.sigma2 * own)
+            point, column = _point_and_one_column(net, policy)
+            assert 0.0 < point.snr_e[0] < 1e-90
+            assert _same_bits(point, column), fractions
+
+    def test_eight_or_more_snooped_terms(self):
+        # the terms are summed by += in node order; a compensated sum (the
+        # built-in sum() from Python 3.12 on, here math.fsum) would part from
+        # it on some of these draws
+        rng = np.random.default_rng(13)
+        parted = 0
+        for _ in range(60):
+            n = int(rng.integers(8, 17))
+            net = LayeredNetwork.diamond(
+                N=n, h_s=float(rng.uniform(0.05, 1.3)), h_t=float(rng.uniform(0.05, 1.3)),
+                h_e=tuple((10.0 ** rng.uniform(-3, 3, n)).tolist()),
+                P_s=float(rng.uniform(0.1, 30.0)), P=(tuple(rng.uniform(0.1, 30.0, n).tolist()),),
+                sigma2=float(rng.uniform(0.3, 2.0)))
+            policy = _scaled(rng.random(n).tolist())
+            snoop = sorted(rng.choice(n, int(rng.integers(8, n + 1)), replace=False).tolist())
+            point, column = _point_and_one_column(net, policy, snoop)
+            assert _same_bits(point, column), (net, snoop)
+            terms = [b * net.h_e[i] for i, b in enumerate(cascade(net, policy).betas[0])
+                     if i in snoop]
+            w = 0.0
+            for t in terms:
+                w += t
+            parted += math.fsum(terms) != w
+        assert parted > 0
 
 
 class TestRateReportInvariants:

@@ -2,6 +2,9 @@
 closed forms on reference instances."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -269,23 +272,101 @@ def test_objective_defers_to_the_kernel_past_the_float_range():
             assert got == want
 
 
+def _block_sizes(obj, U):
+    """obj.scan(U), and the number of rows of each block it ran."""
+    sizes, batch = [], obj.batch
+
+    def spy(X, states, l0, log2=None):
+        assert states == obj.start  # the start state as floats
+        sizes.append(X.shape[1])
+        return batch(X, states, l0, log2)
+    obj.batch = spy
+    try:
+        return obj.scan(U), sizes
+    finally:
+        del obj.batch
+
+
 def test_blocked_scan_equals_one_batch():
-    # more than two blocks, the last one partial; about half the candidates
-    # defer to the kernel (their eavesdropper power passes the float range),
-    # in every block, and the point of the test above sits in two blocks
+    # three even blocks; about half the candidates defer to the kernel
+    # (their eavesdropper power passes the float range), in every block, and
+    # the point of the test above sits in the first block and the last
     net = LayeredNetwork.diamond(
         N=2, h_s=1.0, h_t=1.0, h_e=(9.207416006867998e+109, 1.0347502824058397e+151),
         P_s=188.22786081696952, P=4.226992132749403e+290, sigma2=4.1640104539120186e-299)
     obj = _Objective(net, (0, 1))
     rng = np.random.default_rng(8)
-    n = 2 * _SCAN_BLOCK + 1000
+    n = 3 * _SCAN_BLOCK + 1000
     U = rng.random((n, 2))
     U[rng.random(n) < 0.5] *= 1e-150
-    U[[5, _SCAN_BLOCK + 7]] = [1.3895988059463554e-05, 4.472909140396663e-10]
-    vals = obj.scan(U)
+    U[[5, n - 7]] = [1.3895988059463554e-05, 4.472909140396663e-10]
+    vals, sizes = _block_sizes(obj, U)
+    assert sizes == [len(b) for b in np.array_split(U, 3)]
     assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
     assert np.isfinite(vals).all()
-    assert vals[5] == vals[_SCAN_BLOCK + 7] == pytest.approx(4.643668444259674e-05, rel=1e-12)
+    assert vals[5] == vals[n - 7] == pytest.approx(4.643668444259674e-05, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows, blocks", [(1, 1), (2_000, 1), (4_161, 1), (6_200, 2),
+                                          (4 * _SCAN_BLOCK, 4), (26_593, 6)])
+def test_scan_splits_its_rows_evenly(rows, blocks):
+    # round(rows / _SCAN_BLOCK) blocks, at least one, within a row of each other
+    obj = _Objective(EXAMPLE1, (0, 1, 2))
+    U = np.random.default_rng(rows).random((rows, 3))
+    vals, sizes = _block_sizes(obj, U)
+    assert len(sizes) == blocks and sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+
+
+def test_scan_without_snooped_nodes():
+    # no eavesdropper term: the eavesdropper's powers stay the start's floats
+    # through every layer, and the scan still equals the batch bit for bit
+    net = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.7, h=(0.6,), h_t=0.5,
+                         h_e=(0.3, 0.2, 0.4), M=2, P_s=10.0, P=10.0, sigma2=1.0)
+    obj = _Objective(net, ())
+    U = np.random.default_rng(3).random((2 * _SCAN_BLOCK + 500, 5))
+    num, den = obj.advance(U.T, obj.start, 0, net.L, np.sqrt)[2:]
+    assert (type(num), type(den)) == (float, float)
+    vals, sizes = _block_sizes(obj, U)
+    assert len(sizes) == 2
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+
+
+def test_scan_block_whose_state_sum_overflows_defers_nothing():
+    # each column's state is finite (about 1e306), but a block's sum over
+    # its columns passes the float range: the columns are then tested one
+    # by one, and none goes to the kernel
+    net = LayeredNetwork.diamond(N=1, h_s=1.0, h_t=1.0, h_e=1e-3, P_s=1e300, P=1e306,
+                                 sigma2=1.0)
+    obj = _Objective(net, (0,))
+    U = np.random.default_rng(4).uniform(0.5, 1.0, (_SCAN_BLOCK, 1))
+    with np.errstate(over="ignore"):
+        total = sum(obj.advance(U.T, obj.start, 0, net.L, np.sqrt))
+        assert np.isfinite(total).all() and total.sum() == math.inf
+
+    def kernel_values(u):
+        raise AssertionError("a finite column deferred to the kernel")
+    obj.kernel_values = kernel_values
+    vals, sizes = _block_sizes(obj, U)
+    assert sizes == [_SCAN_BLOCK] and np.isfinite(vals).all()
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+    assert obj.batch(U.T, np.array([obj.start]), 0) == [obj(u) for u in U.tolist()]
+
+
+def test_import_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma; the line-scan abscissae are built by
+    # np.sort, which gives the same bytes, so importing the package does not
+    import anc_secrecy
+    src = str(Path(anc_secrecy.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", "import sys, anc_secrecy; "
+                          "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == ["False", "True"]
+    unique = np.unique(np.concatenate((
+        [0.0], np.logspace(-6.0, -1.0, 6), np.linspace(1.0 / 12.0, 1.0, 12))))
+    assert _LINE_SCAN.dtype == unique.dtype and _LINE_SCAN.tobytes() == unique.tobytes()
 
 
 def _candidates_before_the_cache(widths, seed):

@@ -21,7 +21,7 @@ from anc_secrecy import (
 )
 from anc_secrecy.cli import _fmt, main, run
 from anc_secrecy.layered import optimal_rates
-from anc_secrecy.network import cascade
+from anc_secrecy.network import _rate_reports, cascade
 
 
 def _point_optimum(net_p: LayeredNetwork):
@@ -100,25 +100,33 @@ def _per_node_draw(rng, widths: tuple[int, int] = (1, 3)) -> LayeredNetwork:
 
 
 def test_batch_points_equal_the_points_alone():
-    # every column of a batched cascade, and every rate of optimal_rates, is
-    # the point computed alone, bit for bit; the last draw's layers are 8-12
-    # nodes wide, where a pairwise sum would part from the sequential one
+    # every column of a batched cascade, its rates, and every rate of
+    # optimal_rates, is the point computed alone (on floats), bit for bit;
+    # the last draw's layers are 8-12 nodes wide, where a pairwise or a
+    # compensated sum would part from the sequential one
     rng = np.random.default_rng(2026)
     P_s = np.geomspace(1e-2, 1e9, 37)
     for draw in range(61):
         net = _per_node_draw(rng, (8, 12) if draw == 60 else (1, 3))
         fractions = [rng.random(n) for n in net.nodes_per_layer]
+        # the whole of layer M, and every other node of it
+        snoops = (None, range(0, net.nodes_per_layer[net.M - 1], 2))
         for policy in (lambda l, bmax: bmax,
                        lambda l, bmax: [f * b for f, b in zip(fractions[l].tolist(), bmax)]):
             batch = cascade(net, policy, P_s)
+            batch_rates = [_rate_reports(net, batch, snoop) for snoop in snoops]
             for k, p in enumerate(P_s.tolist()):
-                alone = cascade(replace(net, P_s=p), policy)
+                net_p = replace(net, P_s=p)
+                alone = cascade(net_p, policy)
                 for name, rows, column in zip(batch._fields, batch, alone):
                     for row, value in zip(rows, column):
                         # a batch's entries that do not vary (fwd into layer
                         # 1) stay scalars; betas and bounds are node columns
                         point = np.take(row, k, axis=-1) if np.ndim(row) else row
                         assert np.array_equal(point, value), (net, p, name)
+                for snoop, columns in zip(snoops, batch_rates):
+                    assert columns.point(k) == _rate_reports(net_p, alone, snoop).point(), \
+                        (net, p, snoop)
         # the draw made a lemma network: each layer's first cap for the
         # whole layer, and the first eavesdropper gain for all of layer M
         lemma = replace(net, h_e=net.h_e[0], P=tuple((row[0],) * len(row) for row in net.P))
