@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,15 +42,15 @@ _TOP_KEYS = {"network", "mode", "sweep", "delta", "output", "seed"}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str
+    """A sweep of the source power; variable names it, the only one swept."""
+
     start: float
     stop: float
     points: int
     scale: str
+    variable: ClassVar[str] = "P_s"
 
     def __post_init__(self):
-        if self.variable != "P_s":
-            raise ConfigError(f"sweep.variable: only 'P_s' is supported, got {self.variable!r}")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale: must be 'linear' or 'log', got {self.scale!r}")
         if self.points < 2:
@@ -169,8 +170,10 @@ def _sweep_from_dict(data: dict) -> SweepSpec:
     for key in ("from", "to", "points"):
         if key not in data:
             raise ConfigError(f"sweep.{key}: missing")
-    return SweepSpec(variable=data.get("variable", "P_s"),
-                     start=_config_number("sweep.from", data["from"]),
+    variable = data.get("variable", SweepSpec.variable)
+    if variable != SweepSpec.variable:
+        raise ConfigError(f"sweep.variable: only 'P_s' is supported, got {variable!r}")
+    return SweepSpec(start=_config_number("sweep.from", data["from"]),
                      stop=_config_number("sweep.to", data["to"]),
                      points=_config_number("sweep.points", data["points"], integer=True),
                      scale=data.get("scale", "log"))
@@ -209,13 +212,13 @@ def bundled_presets() -> dict[str, ExperimentConfig]:
         network=LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
                                h_t=0.203, h_e=0.031, M=2, P_s=5e8, P=500.0, sigma2=1.0),
         mode="sweep",
-        sweep=SweepSpec(variable="P_s", start=1.0, stop=1e9, points=37, scale="log"),
+        sweep=SweepSpec(start=1.0, stop=1e9, points=37, scale="log"),
         delta=0.005)
     fig5b = ExperimentConfig(
         network=LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.260, h=(0.925,),
                                h_t=0.113, h_e=0.012, M=2, P_s=5e8, P=500.0, sigma2=1.0),
         mode="sweep",
-        sweep=SweepSpec(variable="P_s", start=1.0, stop=1e9, points=37, scale="log"),
+        sweep=SweepSpec(start=1.0, stop=1e9, points=37, scale="log"),
         delta=0.005)
     return {"example1": example1, "fig4": fig4, "fig5a": fig5a, "fig5b": fig5b}
 

@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .network import (
     LayeredNetwork,
     RateReport,
@@ -139,7 +137,10 @@ def cutset_bound(net: LayeredNetwork) -> float:
     does (see `_half_log_difference`).
     """
     he = _last_layer_he(net)
-    coherent = float(np.sqrt(net.layer_power(net.L - 1)).sum()) ** 2
+    r = 0.0
+    for p in net.P[net.L - 1]:
+        r += math.sqrt(p)
+    coherent = r * r
     s2 = net.sigma2
     return _half_log_difference(coherent * net.h_t ** 2 / s2, coherent * he ** 2 / s2)
 

@@ -140,9 +140,12 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
     snr, f_val = c.sig[m] / s2, c.fwd[m] / s2
     downstream = []
     for l in range(net.M, net.L):
-        p = net.layer_power(l)
+        r = p_sum = 0.0
+        for p in net.P[l]:
+            r += math.sqrt(p)
+            p_sum += p
         g = net.gain_out(l) ** 2
-        downstream.append((float(np.sqrt(p).sum()) ** 2 * g, float(p.sum()) * g))
+        downstream.append((r * r * g, p_sum * g))
     alpha = math.prod((a for a, _ in downstream), start=1.0)
     d1, d2, d3, excess = 0.0, 1.0, s2, 0.0
     for a, q in reversed(downstream):

@@ -13,8 +13,10 @@ point or for a batch of source powers.
 One summation rule, one squaring rule and one overflow rule hold for the
 whole library. The nodes of a layer, and the eavesdropper's terms, are
 summed by += in node order, for a point, for a batch and in the search
-oracle's objective (`oracle._Objective`) alike. Every square of a node sum
-or of an eavesdropper term is taken as x * x, and so is cal_B in the
+oracle's objective (`oracle._Objective`) alike, and so are a layer's power
+caps and their roots (`layered._coefficients`, `highsnr.cutset_bound`).
+Every square of a node sum, of a sum of roots of caps or of an
+eavesdropper term is taken as x * x, and so is cal_B in the
 discriminant of the lemma's quadratic (`layered.lemma_beta_M`). Each += and
 each x * x is one correctly rounded operation for a float and for every
 element of an array alike, so a point computed alone and the same point
@@ -150,10 +152,6 @@ class LayeredNetwork:
                    M=1, P_s=P_s, P=P, sigma2=sigma2)
 
     # -- structural helpers -------------------------------------------------
-    def layer_power(self, l: int) -> np.ndarray:
-        """Per-node transmit power caps of layer l (0-based)."""
-        return np.asarray(self.P[l])
-
     def gain_out(self, l: int) -> float:
         """Gain out of relay layer l (0-based); h_t for the last layer."""
         return self.h[l] if l < self.L - 1 else self.h_t

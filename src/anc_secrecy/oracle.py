@@ -62,19 +62,18 @@ class SearchConfig:
 @dataclass(frozen=True)
 class OracleDiagnostics:
     """What a search did. n_evals counts the objective evaluations performed:
-    the coarse scan's candidates, each start's first value, and each line
-    search run (its scan and golden-section steps), but not a line search
-    served from the memo of searches already run (see `_refine`), so it
-    reads lower than starts times lines times cycles. n_merged counts the
-    starts that finished on a trajectory shared with a lower-index start."""
+    the coarse scan's candidates, each distinct start's first value, and
+    each line search run (its scan and golden-section steps), but not a line
+    search served from the memo of searches already run (see `_refine`), so
+    it reads lower than starts times lines times cycles. multimodal is set
+    where the starts end more than max(refine_tol, 1e-9) apart, and
+    start_objectives holds each start's final value, so their max is the
+    best value found."""
 
     n_evals: int
     n_starts: int
-    n_merged: int
     converged: bool
-    starts_agree: bool
     multimodal: bool
-    best_objective: float
     start_objectives: tuple[float, ...]
 
     def as_dict(self) -> dict:
@@ -310,7 +309,7 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]]
-            ) -> tuple[list[tuple[float, np.ndarray, bool]], int, int]:
+            ) -> tuple[list[tuple[float, np.ndarray, bool]], int]:
     """Cyclic coordinate ascent with golden-section line searches, all
     starts in lockstep, for at most _MAX_CYCLES cycles; a start has converged
     once a cycle gains less than SearchConfig.refine_tol, or nothing at a
@@ -326,29 +325,22 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     in a memo for the call, keyed on the line and the bytes of those
     coordinates. A start whose key is there, from its own earlier cycle or
     from another start, takes the stored result under its own test (value
-    above its best); only the distinct missing keys are searched. At each
-    cycle boundary, live starts in bitwise-equal states merge into the
-    lowest-index one: their futures are identical, so only the work is
-    shared. Neither saving changes a result. Returns per-start (best, u,
-    converged), the number of evaluations performed and the number of
-    merged starts.
+    above its best); only the distinct missing keys are searched, so starts
+    in equal states share all their work. The memo changes no result.
+    Returns per-start (best, u, converged) and the number of evaluations
+    performed, each distinct start's first value counted once.
     """
     n, ns, scan = len(starts), _LINE_SCAN.size, _LINE_SCAN.tolist()
     us = [s.astype(float) for s in starts]
-    rep, best, conv = list(range(n)), [0.0] * n, [False] * n
-    live, evals = list(range(n)), 0
+    # each distinct start's first value, evaluated once
+    distinct = {u.tobytes(): u for u in us}
+    first = {key: obj(u.tolist()) for key, u in distinct.items()}
+    best, conv = [first[u.tobytes()] for u in us], [False] * n
+    live, evals = list(range(n)), len(first)
     # (line index, coordinates outside the line) -> that search's (x, value)
     memo: dict[tuple[int, bytes], tuple[float, float]] = {}
-    for cycle in range(_MAX_CYCLES + 1):
-        groups: dict[bytes, int] = {}
-        for k in live:
-            rep[k] = groups.setdefault(us[k].tobytes(), k)
-        live = list(groups.values())
-        if cycle == 0:
-            for k in live:
-                best[k] = obj(us[k].tolist())
-            evals += len(live)
-        if cycle == _MAX_CYCLES or not live:
+    for _ in range(_MAX_CYCLES):
+        if not live:
             break
         before = [best[k] for k in live]
         for i, (l, lo, hi) in enumerate(lines):
@@ -378,12 +370,7 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
             # a nan best never improves, so a nan gain ends the start too
             conv[k] = not best[k] - b0 >= SearchConfig.refine_tol
         live = [k for k in live if not conv[k]]
-    # live starts stay in index order, so a start merges only into a lower
-    # index, whose own representative is final by the time it is read
-    for k in range(n):
-        rep[k] = rep[rep[k]]
-    finals = [(best[r], us[r], conv[r]) for r in rep]
-    return finals, evals, sum(r != k for k, r in enumerate(rep))
+    return list(zip(best, us, conv)), evals
 
 
 @functools.lru_cache(maxsize=16)
@@ -454,12 +441,11 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     n_starts = min(cfg.restarts, len(vals))
     order = _top_k(vals, n_starts)
     starts = U[order]
-    initial_best = float(vals[order[0]])
 
     offs = obj.offs
     lines = [(l, i, i + 1) for l in range(net.L) for i in range(offs[l], offs[l + 1])]
     lines += [(l, offs[l], offs[l + 1]) for l in range(net.L) if net.nodes_per_layer[l] > 1]
-    finals, evals, n_merged = _refine(obj, starts, lines)
+    finals, evals = _refine(obj, starts, lines)
 
     best_val = max(v for v, _, _ in finals)
     # deterministic tie-break: among near-best finals, lexicographically
@@ -470,15 +456,12 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         raise OverflowError(f"the search's best secrecy rate is {best_val}")
     chosen = min(map(obj.kernel, tied.values()),
                  key=lambda c: [b for row in c.betas for b in row])
-    agree = best_val - min(v for v, _, _ in finals) <= max(cfg.refine_tol, 1e-9)
     diag = OracleDiagnostics(
         n_evals=int(U.shape[0]) + evals,
         n_starts=n_starts,
-        n_merged=n_merged,
         converged=all(c for _, _, c in finals),
-        starts_agree=agree,
-        multimodal=not agree,
-        best_objective=max(best_val, initial_best),
+        # `not <=`, so that a nan spread counts as multimodal
+        multimodal=not best_val - min(v for v, _, _ in finals) <= max(cfg.refine_tol, 1e-9),
         start_objectives=tuple(float(v) for v, _, _ in finals),
     )
     return OracleResult(beta=chosen.scaling(), rate=_rate_reports(net, chosen, obj.snoop).point(),

@@ -164,7 +164,7 @@ def test_criterion_5_invariant_suite():
         flow = propagate(net, sv)
         for l in range(net.L):
             for n, b in enumerate(sv.beta[l]):
-                assert b ** 2 * flow.rx_power[l] <= net.layer_power(l)[n] * (1 + 1e-12)
+                assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
         rep = rates(net, sv)
         assert rep.r_s >= 0.0
         assert (rep.r_s == 0.0) == (rep.r_t <= rep.r_e)

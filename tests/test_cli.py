@@ -26,6 +26,17 @@ EXAMPLE1_DICT = {
     "seed": 0,
 }
 
+_NET = EXAMPLE1_DICT["network"]
+_SWEEP = {"from": 1.0, "to": 10.0, "points": 3}
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _sweep_config(**sweep) -> dict:
+    return {"network": _NET, "mode": "sweep", "sweep": sweep}
+
 
 class TestConfig:
     def test_round_trip(self):
@@ -142,7 +153,7 @@ class TestModes:
     def test_sweep_columns_and_schema(self):
         cfg = bundled_presets()["fig5a"]
         small = ExperimentConfig(network=cfg.network, mode="sweep",
-                                 sweep=type(cfg.sweep)("P_s", 1e4, 1e6, 5, "log"),
+                                 sweep=type(cfg.sweep)(1e4, 1e6, 5, "log"),
                                  delta=cfg.delta)
         header, rows = run(small)
         assert header == ["P_s", "r_s_opt", "r_s_allmax", "c_cut", "gap"]
@@ -157,7 +168,7 @@ class TestModes:
         cfg = bundled_presets()["fig5a"]
         net = replace(cfg.network, M=1)
         header, rows = run(ExperimentConfig(
-            network=net, mode="sweep", sweep=type(cfg.sweep)("P_s", 1e2, 1e6, 3, "log")))
+            network=net, mode="sweep", sweep=type(cfg.sweep)(1e2, 1e6, 3, "log")))
         assert len(rows) == 3
         for row in rows:
             assert row[3:] == ["", ""]
@@ -387,6 +398,38 @@ class TestCliProcess:
         assert code == 0, err
         header, *rows = [line.split(",") for line in out.splitlines()]
         assert rows and all(float(r[header.index("r_s")]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["solve"], [], "config: top level"),
+        (["solve"], {"mode": "solve"}, "network: missing"),
+        (["solve"], {"network": _NET}, "mode: missing"),
+        (["solve"], {"network": 5, "mode": "solve"}, "network: must be an object"),
+        (["solve"], {"network": {**_NET, "h_x": 1}, "mode": "solve"},
+         "network: unknown key 'h_x'"),
+        (["solve"], {"network": _without(_NET, "N"), "mode": "solve"},
+         "network.nodes_per_layer: missing"),
+        (["sweep"], {"network": _NET, "mode": "sweep", "sweep": 5}, "sweep: must be an object"),
+        (["sweep"], _sweep_config(**_SWEEP, step=2), "sweep: unknown key 'step'"),
+        (["sweep"], _sweep_config(**_without(_SWEEP, "from")), "sweep.from: missing"),
+        (["sweep"], _sweep_config(**_without(_SWEEP, "to")), "sweep.to: missing"),
+        (["sweep"], _sweep_config(**_without(_SWEEP, "points")), "sweep.points: missing"),
+        (["sweep"], _sweep_config(**_SWEEP, variable="P"), "sweep.variable: only 'P_s'"),
+        (["sweep"], _sweep_config(**_SWEEP, scale="cubic"), "sweep.scale: must be"),
+        (["solve"], {"network": _NET, "mode": "solved"}, "mode: must be one of"),
+        (["sweep"], {"network": _NET, "mode": "solve"}, "sweep: required for sweep mode"),
+        (["highsnr"], {"network": _NET, "mode": "solve"}, "delta: required for highsnr"),
+        (["solve"], None, "config: cannot read"),
+        (["solve", "--preset", "fig9"], None, "unknown preset 'fig9'")])
+    def test_exit_1_config_error_names_key(self, tmp_path, capsys, argv, config, named):
+        # argv without a source reads the config from a file, None leaving it unwritten
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(json.dumps(config), encoding="utf-8")
+        if len(argv) == 1:
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err, err
 
     def test_exit_1_negative_seed_flag(self, capsys):
         assert main(["solve", "--preset", "example1", "--seed", "-1"]) == 1

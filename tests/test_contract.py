@@ -48,13 +48,13 @@ def _draw(rng) -> tuple[LayeredNetwork, SweepSpec, float]:
                          h=tuple(_value(rng) for _ in range(L - 1)), h_t=_value(rng),
                          h_e=h_e, M=M, P_s=_value(rng), P=P, sigma2=_value(rng))
     start = _value(rng)
-    sweep = SweepSpec("P_s", start, start * 10.0 ** rng.uniform(1, 20), 4, "log")
+    sweep = SweepSpec(start, start * 10.0 ** rng.uniform(1, 20), 4, "log")
     return net, sweep, float(rng.uniform(0.001, 0.2))
 
 
 def _explicit(net: LayeredNetwork, delta: float = 0.005
               ) -> tuple[LayeredNetwork, SweepSpec, float]:
-    return net, SweepSpec("P_s", net.P_s * 1e-8, net.P_s, 4, "log"), delta
+    return net, SweepSpec(net.P_s * 1e-8, net.P_s, 4, "log"), delta
 
 
 def _item4(M: int) -> LayeredNetwork:

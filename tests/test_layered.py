@@ -469,7 +469,7 @@ class TestLemmaClass:
         for i in range(3):
             net = capped_draw(rng, per_node_off_m=False)
             cfg = ExperimentConfig(network=net, mode="sweep",
-                                   sweep=SweepSpec("P_s", 1.0, 1e9, 5, "log"))
+                                   sweep=SweepSpec(1.0, 1e9, 5, "log"))
             path = tmp_path / f"ragged{i}.json"
             path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
             assert main(["sweep", "--config", str(path),

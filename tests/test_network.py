@@ -405,9 +405,8 @@ def test_power_constraint_respected(seed):
     sv = random_feasible_scaling(rng, net)
     flow = propagate(net, sv)
     for l in range(net.L):
-        powers = net.layer_power(l)
         for n, b in enumerate(sv.beta[l]):
-            assert b ** 2 * flow.rx_power[l] <= powers[n] * (1 + 1e-12)
+            assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

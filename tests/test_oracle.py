@@ -87,9 +87,8 @@ def test_iterates_feasible():
                 assert 0.0 <= b <= m
         flow = propagate(net, res.beta)
         for l in range(net.L):
-            p_l = net.layer_power(l)
             for n, b in enumerate(res.beta.beta[l]):
-                assert b ** 2 * flow.rx_power[l] <= p_l[n] * (1 + 1e-12)
+                assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
 
 
 def test_ascent_diagnostics():
@@ -97,14 +96,8 @@ def test_ascent_diagnostics():
     d = res.diagnostics
     assert d.n_starts == 6
     assert d.n_evals > 0
-    assert d.best_objective >= max(d.start_objectives) - 1e-15
     assert isinstance(d.as_dict()["start_objectives"], list)
-    # merged starts still count in the per-start fields, and a merged start
-    # ends on the value of the start it merged into
-    assert d.as_dict()["n_merged"] == d.n_merged
-    assert 0 <= d.n_merged < d.n_starts
     assert len(d.start_objectives) == d.n_starts
-    assert len(set(d.start_objectives)) <= d.n_starts - d.n_merged
 
 
 def test_dimension_guard():
@@ -469,21 +462,22 @@ def test_lockstep_refinement_matches_solo(net):
     distinct[3] = 1.0
     starts = distinct[[0, 1, 0, 2, 3, 1, 3]]  # duplicates, out of order
     lines = _lines(net)
-    together, evals, merged = _refine(obj, starts, lines)
+    together, evals = _refine(obj, starts, lines)
     alone = [_refine(obj, s[None, :], lines) for s in distinct]
     for k, (best, u, conv) in enumerate(together):
         b1, u1, c1 = alone[[0, 1, 0, 2, 3, 1, 3][k]][0][0]
         assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
-    assert merged >= 3
+    # the duplicates cost nothing: the memo serves every search they need
+    assert evals == _refine(obj, distinct, lines)[1]
     assert evals <= sum(a[1] for a in alone)
     # a converged start, and the same start moved inside the first line,
-    # agree outside that line: they never merge, as the first stops after one
-    # cycle, yet they share that line's searches
+    # agree outside that line: the first stops after one cycle, yet they
+    # share that line's searches
     u = alone[0][0][0][1].copy()
     moved = u.copy()
     moved[lines[0][1]] = u[lines[0][1]] / 2
     pair = np.array([u, moved])
-    together, evals, _ = _refine(obj, pair, lines)
+    together, evals = _refine(obj, pair, lines)
     alone = [_refine(obj, s[None, :], lines) for s in pair]
     for (best, u, conv), ((b1, u1, c1),) in zip(together, (a[0] for a in alone)):
         assert (best, u.tobytes(), conv) == (b1, u1.tobytes(), c1)
@@ -528,6 +522,5 @@ def test_oracle_reproduces_its_pins():
             assert [[b.hex() for b in row] for row in rows] == want[key], case
         assert {k: v.hex() for k, v in asdict(res.rate).items()} == want["rate"], case
         diag = res.diagnostics.as_dict()
-        diag["best_objective"] = diag["best_objective"].hex()
         diag["start_objectives"] = [v.hex() for v in diag["start_objectives"]]
         assert diag == want["diagnostics"], case

@@ -66,8 +66,8 @@ def test_batch_equals_the_per_point_rows():
     for _ in range(25):
         base = _lemma_draw(rng)
         low, high = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(6, 10)
-        specs = [SweepSpec("P_s", float(low), float(high), 6, "log"),
-                 SweepSpec("P_s", 0.0, float(rng.uniform(1.0, 100.0)), 5, "linear")]
+        specs = [SweepSpec(float(low), float(high), 6, "log"),
+                 SweepSpec(0.0, float(rng.uniform(1.0, 100.0)), 5, "linear")]
         for M in range(1, base.L + 1):
             net = replace(base, M=M, h_e=base.h_e[0])
             for spec in specs:
