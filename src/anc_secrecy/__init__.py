@@ -7,13 +7,10 @@ analysis, and a brute-force search oracle that validates every closed form.
 """
 from .network import (
     LayeredNetwork,
-    PowerFlow,
     RateReport,
     RegimeViolationError,
     ScalingVector,
     beta_max_vector,
-    max_scaling_with_layer,
-    propagate,
     rates,
 )
 from .diamond import (
@@ -22,7 +19,6 @@ from .diamond import (
     SubsetResult,
     best_snoop_subset,
     diamond_opt,
-    snr_e_by_k,
 )
 from .layered import (
     CoefficientSet,
@@ -31,7 +27,6 @@ from .layered import (
     extract_coefficients,
     lemma_beta_M,
     optimal_scaling,
-    reduced_snrs,
 )
 from .highsnr import (
     HighSnrReport,
@@ -40,8 +35,6 @@ from .highsnr import (
     gap_bound,
     high_snr_report,
     high_snr_scaling,
-    noise_power_bound,
-    plateau_index,
 )
 from .oracle import (
     OracleDiagnostics,
@@ -57,35 +50,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LayeredNetwork",
-    "PowerFlow",
     "RateReport",
     "RegimeViolationError",
     "ScalingVector",
     "beta_max_vector",
-    "max_scaling_with_layer",
-    "propagate",
     "rates",
     "DiamondSolution",
     "SnoopAnalysis",
     "SubsetResult",
     "best_snoop_subset",
     "diamond_opt",
-    "snr_e_by_k",
     "CoefficientSet",
     "LayerMSolution",
     "LayeredSolution",
     "extract_coefficients",
     "lemma_beta_M",
     "optimal_scaling",
-    "reduced_snrs",
     "HighSnrReport",
     "achievable_highsnr",
     "cutset_bound",
     "gap_bound",
     "high_snr_report",
     "high_snr_scaling",
-    "noise_power_bound",
-    "plateau_index",
     "OracleDiagnostics",
     "OracleResult",
     "SearchConfig",

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -105,27 +105,6 @@ class ExperimentConfig:
                    delta=None if delta is None else _config_number("delta", delta),
                    output=data.get("output"),
                    seed=_config_number("seed", data.get("seed", 0), integer=True))
-
-    def to_dict(self) -> dict:
-        out = {
-            "network": {key: _lists(value) for key, value in asdict(self.network).items()},
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-        if self.sweep is not None:
-            out["sweep"] = {"variable": self.sweep.variable, "from": self.sweep.start,
-                            "to": self.sweep.stop, "points": self.sweep.points,
-                            "scale": self.sweep.scale}
-        if self.delta is not None:
-            out["delta"] = self.delta
-        if self.output is not None:
-            out["output"] = self.output
-        return out
-
-
-def _lists(value):
-    """value with every tuple, nested too, as a list, as JSON writes it."""
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _config_number(key: str, value, integer: bool = False):

@@ -132,19 +132,3 @@ def best_snoop_subset(net: LayeredNetwork, cfg: SearchConfig | None = None) -> S
     return SnoopAnalysis(best_subset=best.subset, best_r_e=best.rate.r_e,
                          results=tuple(results), symmetric_shortcut=symmetric)
 
-
-def snr_e_by_k(net: LayeredNetwork, k: int, beta: float | None = None) -> float:
-    """Eavesdropper SNR when snooping k relays of a symmetric diamond, all
-    relays at a common scaling (defaults to beta_max):
-
-        SNR_e^k = (P_s h_s^2 / sigma2) k^2 beta^2 h_e^2 / (1 + k beta^2 h_e^2)
-    """
-    he = _require_symmetric_diamond(net)
-    n = net.nodes_per_layer[0]
-    if not 0 <= k <= n:
-        raise ValueError("k must be in 0..N")
-    if beta is None:
-        beta = float(beta_max_vector(net).beta[0][0])
-    rho = net.P_s * net.h_s ** 2 / net.sigma2
-    x = beta ** 2 * he ** 2
-    return rho * k ** 2 * x / (1.0 + k * x)

@@ -18,9 +18,8 @@ A network is in the delta-high-SNR regime when every relay layer's input
 SNR under this scaling is at least 1/delta. That makes the scaling feasible
 and gives sigma2 / P_Ri <= delta, so the noise sums to at most
 P_R(L+1) / min n_i (1 - (1+delta)^-L) by the geometric series (see
-`noise_power_bound` and `gap_bound`). Each noise term is formed from
-sigma2 / P_Ri, which the regime keeps small: sigma2 P_R(L+1) alone can
-overflow.
+`gap_bound`). Each noise term is formed from sigma2 / P_Ri, which the
+regime keeps small: sigma2 P_R(L+1) alone can overflow.
 
 The cut, the achievable rate and the gap bound also need a common
 eavesdropper gain on the last layer (M = L), where the eavesdropper's
@@ -163,8 +162,10 @@ def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
     s2 = net.sigma2
     L = net.L
     p_st = p_r[L] / (1.0 + delta) ** L
-    p_zt = sum(p_r[L] * (s2 / p_ri) / (n * (1.0 + delta) ** (L - i))
-               for i, (n, p_ri) in enumerate(zip(net.nodes_per_layer, p_r)))
+    # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
+    p_zt = 0.0
+    for i, (n, p_ri) in enumerate(zip(net.nodes_per_layer, p_r)):
+        p_zt += p_r[L] * (s2 / p_ri) / (n * (1.0 + delta) ** (L - i))
     mirror = (he / net.h_t) ** 2
     snr_t = p_st / (p_zt + s2)
     snr_e = p_st * mirror / (p_zt * mirror + s2)
@@ -185,22 +186,6 @@ def _bound_delta(delta: float) -> None:
         raise ValueError(f"delta = {delta:.6g}: the bounds need delta > 0")
 
 
-def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
-    """Upper bound on the total noise power reaching the destination under
-    delta-scaling:
-
-        (n_L^2 p_L / min n_i) h_t^2 (1 - (1+delta)^-L),
-
-    N P h_t^2 (1 - (1+delta)^-L) on a uniform network. In the regime
-    sigma2 / P_Ri <= delta, so layer i's noise term is at most
-    P_R(L+1) delta / (min n_i (1+delta)^(L-i+1)), and
-    delta sum_k=1..L (1+delta)^-k = 1 - (1+delta)^-L. Raises for delta <= 0.
-    """
-    _bound_delta(delta)
-    return _width_factor(net) * _layer_caps(net)[-1] * net.h_t ** 2 * (
-        1.0 - (1.0 + delta) ** -net.L)
-
-
 def gap_bound(net: LayeredNetwork, delta: float) -> float:
     """Analytic bound on C_cut minus the delta-scaled achievable secrecy
     rate, valid for L*delta < 1 with the last layer snooped (M = L). With
@@ -211,8 +196,9 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
 
     Derivation, for |h_e| <= |h_t|: with a = P_R(L+1)/sigma2, r =
     (h_e/h_t)^2, s = (1+delta)^-L >= 1 - L delta and the noise over sigma2
-    z <= a (1 - s) / min n_i <= L delta a / min n_i = Z (see
-    `noise_power_bound`), the gap is 1/2 log2 of
+    z <= a (1 - s) / min n_i <= L delta a / min n_i = Z (in the regime
+    layer i's term is at most a delta / (min n_i (1+delta)^(L-i+1)), and
+    delta sum_k=1..L (1+delta)^-k = 1 - s), the gap is 1/2 log2 of
     (1+a)(1+z)(1+rz+ars) / ((1+z+as)(1+rz)(1+ar)). Its factor
     (1+z)/(1+rz) grows with z, so it is at most (1+Z)/(1+rZ), and the rest
     is at most 1/(1 - L delta). Where |h_e| is enough above |h_t| the
@@ -243,13 +229,3 @@ def high_snr_report(net: LayeredNetwork, delta: float) -> HighSnrReport:
                          actual_gap=c_cut - r_s,
                          gap_bound=gap_bound(net, delta))
 
-
-def plateau_index(values, rel_slope: float = 1e-4) -> int | None:
-    """Largest index whose step from its predecessor has relative slope
-    below rel_slope; None when the curve never flattens."""
-    vals = list(values)
-    for i in range(len(vals) - 1, 0, -1):
-        denom = max(abs(vals[i]), 1e-300)
-        if abs(vals[i] - vals[i - 1]) / denom < rel_slope:
-            return i
-    return None

@@ -49,10 +49,10 @@ class CoefficientSet:
     snr and F describe the source side at the given upstream scaling: the
     signal power entering layer M over sigma2 (the lemma's rho E) and the
     forwarded noise power there over sigma2. alpha, d1 (the lemma's
-    lam / rho), mu and nu are the downstream compounds; A = alpha*snr,
-    B = d1*snr + mu*F, C = mu, D = nu the destination-SNR coefficients;
-    cal_A, cal_B, cal_C the stationary-point quadratic coefficients (in
-    beta_M^2) for layer M's width N.
+    lam / rho), mu and nu are the downstream compounds, from which the
+    destination-SNR coefficients of the module docstring follow; cal_A,
+    cal_B, cal_C the stationary-point quadratic coefficients (in beta_M^2)
+    for layer M's width N.
     """
 
     snr: float
@@ -61,10 +61,6 @@ class CoefficientSet:
     d1: float
     mu: float
     nu: float
-    A: float
-    B: float
-    C: float
-    D: float
     cal_A: float
     cal_B: float
     cal_C: float
@@ -167,20 +163,7 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
     if not all(finite):
         raise OverflowError("the layer-M quadratic's coefficients are not finite")
     return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu,
-                          A=alpha * snr, B=lam_e + mu * f_val, C=mu, D=nu,
                           cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
-
-
-def reduced_snrs(coeffs: CoefficientSet, h_m: float, h_e: float,
-                 s_val: float, q_val: float) -> tuple[float, float]:
-    """SNR_t and SNR_e rebuilt from the extracted coefficients at given
-    S = (sum beta_M)^2 and Q = sum beta_M^2."""
-    h_m2, he2 = h_m ** 2, h_e ** 2
-    snr_t = (coeffs.A * s_val * h_m2
-             / (coeffs.B * s_val * h_m2 + coeffs.C * q_val * h_m2 + coeffs.D))
-    snr_e = (coeffs.snr * s_val * he2
-             / (coeffs.F * s_val * he2 + q_val * he2 + 1.0))
-    return snr_t, snr_e
 
 
 def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,

@@ -14,7 +14,8 @@ One summation rule, one squaring rule and one overflow rule hold for the
 whole library. The nodes of a layer, and the eavesdropper's terms, are
 summed by += in node order, for a point, for a batch and in the search
 oracle's objective (`oracle._Objective`) alike, and so are a layer's power
-caps and their roots (`layered._coefficients`, `highsnr.cutset_bound`).
+caps and their roots (`layered._coefficients`, `highsnr.cutset_bound`)
+and the noise terms of `highsnr.achievable_highsnr`, in layer order.
 Every square of a node sum, of a sum of roots of caps or of an
 eavesdropper term is taken as x * x, and so is cal_B in the
 discriminant of the lemma's quadratic (`layered.lemma_beta_M`). Each += and
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -225,23 +226,6 @@ class ScalingVector:
 
 
 @dataclass(frozen=True)
-class PowerFlow:
-    """Received powers at each relay layer's input and at the destination.
-
-    signal_power / noise_power are the coherent source power and the
-    accumulated forwarded-noise power at a node's input (own thermal noise
-    excluded); rx_power adds sigma2. All nodes of one layer share the same
-    entries.
-    """
-
-    signal_power: tuple[float, ...]
-    noise_power: tuple[float, ...]
-    rx_power: tuple[float, ...]
-    dest_signal: float
-    dest_noise: float
-
-
-@dataclass(frozen=True)
 class RateReport:
     """SNRs and rates (bits/s/Hz, base-2 logs) for one scaling configuration."""
 
@@ -350,14 +334,6 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
     return cascade(net, lambda l, bmax: bmax).scaling()
 
 
-def propagate(net: LayeredNetwork, scaling: ScalingVector) -> PowerFlow:
-    """Exact signal/noise power propagation for a given scaling vector."""
-    c = cascade(net, scaling.beta)
-    return PowerFlow(signal_power=tuple(c.sig[:-1]), noise_power=tuple(c.fwd[:-1]),
-                     rx_power=tuple(s + f + net.sigma2 for s, f in zip(c.sig, c.fwd[:-1])),
-                     dest_signal=c.sig[-1], dest_noise=c.fwd[-1])
-
-
 def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[int, ...]:
     """The snooped layer-M nodes (0-based) as a sorted tuple without
     repeats; None means the whole layer."""
@@ -427,15 +403,3 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     """
     return _rate_reports(net, cascade(net, scaling.beta), snooped).point()
 
-
-def max_scaling_with_layer(net: LayeredNetwork, layer: int,
-                           beta_layer: Sequence[float] | float) -> ScalingVector:
-    """All layers at max except `layer` (0-based), which uses beta_layer.
-
-    Downstream bounds are computed from the actual upstream values, so layers
-    after `layer` still transmit at full power even when beta_layer is below
-    its own bound.
-    """
-    n = net.nodes_per_layer[layer]
-    row = [float(beta_layer)] * n if np.isscalar(beta_layer) else list(map(float, beta_layer))
-    return cascade(net, lambda l, bmax: row if l == layer else bmax).scaling()

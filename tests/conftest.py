@@ -1,18 +1,31 @@
-"""Shared test helpers: independent rate oracles and random-instance draws.
+"""Shared test helpers: independent rate oracles, the paper's reference
+formulas, and random-instance draws.
 
 The path-enumeration evaluator below is deliberately literal: it sums gain
 products over every explicit relay path, with no shared code or recursion
 tricks from the package, so it can serve as an independent cross-check of
-the layer-by-layer power propagation.
+the layer-by-layer power propagation. The reference formulas (the lemma's
+reduced SNRs, SNR_e with k snooped relays, the high-SNR noise bound) are
+written out here rather than in the package, which never needs them: each
+checks a step of a derivation against what the package computes.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 
-from anc_secrecy import LayeredNetwork, ScalingVector
+from anc_secrecy import (
+    CoefficientSet,
+    ExperimentConfig,
+    LayeredNetwork,
+    ScalingVector,
+    beta_max_vector,
+)
+from anc_secrecy.diamond import _require_symmetric_diamond
+from anc_secrecy.highsnr import _bound_delta, _layer_caps, _width_factor
 from anc_secrecy.network import cascade
 
 
@@ -125,6 +138,100 @@ def scan_symmetric_diamond(net: LayeredNetwork, step: float = 1e-4,
             fd = obj(d)
     best = max([(vals[j], xs[j]), (fc, c), (fd, d)])
     return best[1], max(best[0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas and policies
+# ---------------------------------------------------------------------------
+def max_scaling_with_layer(net: LayeredNetwork, layer: int, beta_layer) -> ScalingVector:
+    """All layers at max except `layer` (0-based), which uses beta_layer, a
+    scalar for every node or one value per node. Downstream bounds follow
+    the actual upstream values, so later layers still send at full power."""
+    n = net.nodes_per_layer[layer]
+    row = [float(beta_layer)] * n if np.isscalar(beta_layer) else list(map(float, beta_layer))
+    return cascade(net, lambda l, bmax: row if l == layer else bmax).scaling()
+
+
+def reduced_snrs(co: CoefficientSet, h_m: float, h_e: float,
+                 s_val: float, q_val: float) -> tuple[float, float]:
+    """SNR_t and SNR_e of the lemma's reduced form at S = (sum beta_M)^2 and
+    Q = sum beta_M^2, with A = alpha snr, B = d1 snr + mu F, C = mu, D = nu:
+
+        SNR_t = A S h_M^2 / (B S h_M^2 + C Q h_M^2 + D)
+        SNR_e = snr S h_e^2 / (F S h_e^2 + Q h_e^2 + 1)
+    """
+    a, b, c, d = co.alpha * co.snr, co.d1 * co.snr + co.mu * co.F, co.mu, co.nu
+    h_m2, he2 = h_m ** 2, h_e ** 2
+    snr_t = a * s_val * h_m2 / (b * s_val * h_m2 + c * q_val * h_m2 + d)
+    snr_e = co.snr * s_val * he2 / (co.F * s_val * he2 + q_val * he2 + 1.0)
+    return snr_t, snr_e
+
+
+def snr_e_by_k(net: LayeredNetwork, k: int, beta: float | None = None) -> float:
+    """Eavesdropper SNR when snooping k relays of a symmetric diamond, all
+    relays at a common scaling (defaults to beta_max):
+
+        SNR_e^k = (P_s h_s^2 / sigma2) k^2 beta^2 h_e^2 / (1 + k beta^2 h_e^2)
+    """
+    he = _require_symmetric_diamond(net)
+    if not 0 <= k <= net.nodes_per_layer[0]:
+        raise ValueError("k must be in 0..N")
+    if beta is None:
+        beta = float(beta_max_vector(net).beta[0][0])
+    rho = net.P_s * net.h_s ** 2 / net.sigma2
+    x = beta ** 2 * he ** 2
+    return rho * k ** 2 * x / (1.0 + k * x)
+
+
+def noise_power_bound(net: LayeredNetwork, delta: float) -> float:
+    """Upper bound on the total noise power reaching the destination under
+    delta-scaling, the step `gap_bound`'s derivation rests on:
+
+        (n_L^2 p_L / min n_i) h_t^2 (1 - (1+delta)^-L),
+
+    N P h_t^2 (1 - (1+delta)^-L) on a uniform network. In the regime
+    sigma2 / P_Ri <= delta, so layer i's noise term is at most
+    P_R(L+1) delta / (min n_i (1+delta)^(L-i+1)), and
+    delta sum_k=1..L (1+delta)^-k = 1 - (1+delta)^-L. Raises for delta <= 0.
+    """
+    _bound_delta(delta)
+    return _width_factor(net) * _layer_caps(net)[-1] * net.h_t ** 2 * (
+        1.0 - (1.0 + delta) ** -net.L)
+
+
+def plateau_index(values, rel_slope: float = 1e-4) -> int | None:
+    """Largest index whose step from its predecessor has relative slope
+    below rel_slope; None when the curve never flattens."""
+    vals = list(values)
+    for i in range(len(vals) - 1, 0, -1):
+        denom = max(abs(vals[i]), 1e-300)
+        if abs(vals[i] - vals[i - 1]) / denom < rel_slope:
+            return i
+    return None
+
+
+def _lists(value):
+    """value with every tuple, nested too, as a list, as JSON writes it."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """The JSON config that `ExperimentConfig.from_dict` reads back as cfg.
+    h_e and P are written per node, the form the network stores."""
+    out = {
+        "network": {key: _lists(value) for key, value in asdict(cfg.network).items()},
+        "mode": cfg.mode,
+        "seed": cfg.seed,
+    }
+    if cfg.sweep is not None:
+        out["sweep"] = {"variable": cfg.sweep.variable, "from": cfg.sweep.start,
+                        "to": cfg.sweep.stop, "points": cfg.sweep.points,
+                        "scale": cfg.sweep.scale}
+    if cfg.delta is not None:
+        out["delta"] = cfg.delta
+    if cfg.output is not None:
+        out["output"] = cfg.output
+    return out
 
 
 # ---------------------------------------------------------------------------

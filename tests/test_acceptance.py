@@ -20,18 +20,21 @@ from anc_secrecy import (
     gap_bound,
     high_snr_report,
     high_snr_scaling,
-    max_scaling_with_layer,
-    noise_power_bound,
     optimal_scaling,
-    plateau_index,
-    propagate,
     rates,
-    reduced_snrs,
-    snr_e_by_k,
     verify_against_closed_form,
 )
 from anc_secrecy.cli import run
-from conftest import random_diamond, random_feasible_scaling
+from anc_secrecy.network import cascade
+from conftest import (
+    max_scaling_with_layer,
+    noise_power_bound,
+    plateau_index,
+    random_diamond,
+    random_feasible_scaling,
+    reduced_snrs,
+    snr_e_by_k,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -161,10 +164,10 @@ def test_criterion_5_invariant_suite():
             P_s=float(rng.uniform(0.1, 30.0)), P=float(rng.uniform(0.1, 30.0)),
             sigma2=float(rng.uniform(0.3, 2.0)))
         sv = random_feasible_scaling(rng, net)
-        flow = propagate(net, sv)
+        c = cascade(net, sv.beta)
         for l in range(net.L):
             for n, b in enumerate(sv.beta[l]):
-                assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
+                assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)
         rep = rates(net, sv)
         assert rep.r_s >= 0.0
         assert (rep.r_s == 0.0) == (rep.r_t <= rep.r_e)
@@ -206,8 +209,8 @@ def test_criterion_5_invariant_suite():
         assert r_delta <= c_cut + 1e-9
         assert r_opt <= c_cut + 1e-9
         assert -1e-9 <= c_cut - r_delta <= gap_bound(hnet, delta) + 1e-9
-        flow_d = propagate(hnet, sv_delta)
-        assert flow_d.dest_noise <= noise_power_bound(hnet, delta) * (1 + 1e-12)
+        noise = cascade(hnet, sv_delta.beta).fwd[-1]
+        assert noise <= noise_power_bound(hnet, delta) * (1 + 1e-12)
 
     # -- gap_bound -> 0 as delta -> 0, strictly decreasing ------------------
     net5 = bundled_presets()["fig5a"].network

@@ -11,6 +11,7 @@ import pytest
 
 from anc_secrecy import ExperimentConfig, LayeredNetwork, bundled_presets
 from anc_secrecy.cli import MODES, ConfigError, load_config, main, run
+from conftest import config_to_dict
 
 
 def _run_cli(args):
@@ -41,19 +42,19 @@ def _sweep_config(**sweep) -> dict:
 class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(EXAMPLE1_DICT)
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(config_to_dict(cfg))
         assert cfg == again
 
     def test_round_trip_all_presets(self):
         for name, cfg in bundled_presets().items():
-            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg, name
+            assert ExperimentConfig.from_dict(config_to_dict(cfg)) == cfg, name
 
     def test_round_trip_per_node_power(self):
         d = json.loads(json.dumps(EXAMPLE1_DICT))
         d["network"]["P"] = [[5.0, 1.25, 20.0]]
         cfg = ExperimentConfig.from_dict(d)
         assert cfg.network.P == ((5.0, 1.25, 20.0),)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(config_to_dict(cfg)) == cfg
 
     def test_scalar_and_per_node_forms_are_one_network(self):
         scalar = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.6, h=(0.5,), h_t=0.4,
@@ -62,8 +63,8 @@ class TestConfig:
         assert scalar == per_node and hash(scalar) == hash(per_node)
         assert scalar.h_e == (0.2, 0.2, 0.2) and scalar.P == ((4.0, 4.0), (4.0, 4.0, 4.0))
         cfg = ExperimentConfig(network=scalar, mode="solve")
-        assert cfg.to_dict()["network"]["P"] == [[4.0, 4.0], [4.0, 4.0, 4.0]]
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert config_to_dict(cfg)["network"]["P"] == [[4.0, 4.0], [4.0, 4.0, 4.0]]
+        assert ExperimentConfig.from_dict(config_to_dict(cfg)) == cfg
 
     def test_unknown_key_named(self):
         bad = dict(EXAMPLE1_DICT)
@@ -262,7 +263,7 @@ class TestCliProcess:
 
     def test_exit_3_regime_violation(self, tmp_path):
         cfg = bundled_presets()["fig5b"]
-        d = cfg.to_dict()
+        d = config_to_dict(cfg)
         d["network"]["P_s"] = 500.0  # layer-1 SNR 33.8 < 1/delta = 200
         d["mode"] = "highsnr"
         p = tmp_path / "weak.json"
@@ -273,7 +274,7 @@ class TestCliProcess:
 
     def test_exit_2_delta_not_positive(self, tmp_path, capsys):
         # at delta = 0 no regime is checked, so no bound is reported
-        d = bundled_presets()["fig5a"].to_dict()
+        d = config_to_dict(bundled_presets()["fig5a"])
         d["delta"] = 0.0
         p = tmp_path / "zero.json"
         p.write_text(json.dumps(d), encoding="utf-8")
@@ -357,7 +358,7 @@ class TestCliProcess:
     @pytest.mark.parametrize("key, value", [("h_s", 1e200), ("h_t", 1e200),
                                             ("sigma2", 1e-320), ("P", 1e308), ("P_s", 1e308)])
     def test_overflowing_inputs_exit_2(self, tmp_path, capsys, mode, key, value):
-        d = bundled_presets()["fig5a"].to_dict()
+        d = config_to_dict(bundled_presets()["fig5a"])
         d["network"][key] = value
         p = tmp_path / "big.json"
         p.write_text(json.dumps(d), encoding="utf-8")
@@ -375,7 +376,7 @@ class TestCliProcess:
     @pytest.mark.parametrize("mode", ["sweep", "highsnr"])
     def test_cutset_bound_past_the_float_range_exits_2(self, tmp_path, capsys, mode):
         # numpy raises nothing here: the cutset bound overflows in Python floats
-        d = bundled_presets()["fig5a"].to_dict()
+        d = config_to_dict(bundled_presets()["fig5a"])
         d["network"].update(P=1e290, sigma2=1e-20)
         p = tmp_path / "big.json"
         p.write_text(json.dumps(d), encoding="utf-8")
@@ -444,13 +445,19 @@ class TestCliProcess:
         assert cfg.sweep.points == 3
 
 
-GOLDEN = Path(__file__).parent / "data"
+# the goldens of every preset and mode that succeeds: a preset's default
+# mode is pinned by its CSV in results/, which scripts/run_all_presets.py
+# writes, and every other mode by a file in tests/data
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+GOLDEN = {p.stem: p for p in (Path(__file__).parent / "data").glob("*.csv")}
+GOLDEN.update({f"{name}_{cfg.mode}": RESULTS / f"{name}.csv"
+               for name, cfg in bundled_presets().items()})
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.csv")))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_csv(tmp_path, name):
-    # every preset and mode that succeeds; the files pin the output bytes
+    # the files pin the output bytes
     preset, mode = name.split("_")
     out = tmp_path / "out.csv"
     assert main([mode, "--preset", preset, "--output", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out.read_bytes() == GOLDEN[name].read_bytes()

@@ -12,6 +12,7 @@ import pytest
 from anc_secrecy import LayeredNetwork
 from anc_secrecy.cli import ExperimentConfig, SweepSpec, main
 from anc_secrecy.layered import closed_form_applies
+from conftest import config_to_dict
 
 DRAWS = 500
 
@@ -130,7 +131,7 @@ def test_cli_contract_on_seeded_extreme_configs(tmp_path, capsys):
     path = tmp_path / "config.json"
     for name, (net, sweep, delta), expected in _cases():
         cfg = ExperimentConfig(network=net, mode="sweep", sweep=sweep, delta=delta)
-        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
         # solve outside the lemma class runs the search, which the
         # oracle's own tests cover at a cost this test cannot afford
         modes = ("sweep", "highsnr") + (("solve",) if closed_form_applies(net) else ())

@@ -14,9 +14,8 @@ from anc_secrecy import (
     diamond_opt,
     maximize_secrecy,
     rates,
-    snr_e_by_k,
 )
-from conftest import random_diamond, random_feasible_scaling, scan_symmetric_diamond
+from conftest import random_diamond, random_feasible_scaling, scan_symmetric_diamond, snr_e_by_k
 
 FIG4_NET = LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
                                   P_s=10.0, P=10.0, sigma2=1.0)

