@@ -74,12 +74,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the sweep and delta a mode needs are checked where that mode runs,
+        # since a subcommand runs its own mode in place of the file's
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "sweep" and self.sweep is None:
-            raise ConfigError("sweep: required for sweep mode")
-        if self.mode == "highsnr" and self.delta is None:
-            raise ConfigError("delta: required for highsnr mode")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output: must be a path string, got {self.output!r}")
         if self.seed < 0:
@@ -242,6 +240,8 @@ def run_subset(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
+    if cfg.sweep is None:
+        raise ConfigError("sweep: required for sweep mode")
     net = cfg.network
     values = cfg.sweep.values()
     header = ["P_s", "r_s_opt", "r_s_allmax", "c_cut", "gap"]
@@ -259,6 +259,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
 
 
 def run_highsnr(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
+    if cfg.delta is None:
+        raise ConfigError("delta: required for highsnr mode")
     report = high_snr_report(cfg.network, cfg.delta)
     header = ["delta", "c_cut", "r_s_delta", "actual_gap", "gap_bound"]
     return header, [[_fmt(x) for x in astuple(report)]]

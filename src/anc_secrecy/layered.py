@@ -36,7 +36,6 @@ from .network import (
     RateColumns,
     RateReport,
     ScalingVector,
-    _check_scaling,
     _rate_reports,
     cascade,
 )
@@ -223,8 +222,9 @@ def _lemma_points(net: LayeredNetwork, P_s: np.ndarray | None = None
     pass, or at net.P_s alone when P_s is None: the all-max cascade, its
     coefficients, `lemma_beta_M` over them, and the cascade with layer M at
     that optimum. Returns the optimal cascade, the all-max one and layer M's
-    solution. Neither cascade is checked here: each caller applies
-    ScalingVector's checks once to the cascades it reports."""
+    solution. Neither cascade is checked here beyond the kernel's end test:
+    `optimal_scaling` reports opt through a ScalingVector, which checks it,
+    and `optimal_rates` needs no more (see there)."""
     n, he = _require_lemma_network(net)
     m = net.M - 1
     allmax = cascade(net, lambda l, bmax: bmax, P_s)
@@ -256,10 +256,12 @@ def optimal_rates(net: LayeredNetwork, P_s) -> tuple[RateColumns, RateColumns]:
     """The optimal and the all-max rates at each source power of the vector
     P_s, in one batched pass, as columns. Point for point they equal
     `optimal_scaling(net).rate` and `rates(net, beta_max_vector(net))` with
-    net.P_s set to that power, bit for bit."""
+    net.P_s set to that power, bit for bit. The kernel's end test is the
+    one check of the betas."""
     opt, allmax, _ = _lemma_points(net, np.asarray(P_s, dtype=float))
-    # ScalingVector's checks, once per cascade, on each layer's per-node
-    # (B,) columns; the all-max betas are their own bounds
-    _check_scaling(opt.betas, opt.bounds)
-    _check_scaling(allmax.betas, None)
+    # ScalingVector's checks could not fire here. A nan or inf beta makes
+    # its layer's q_sum, and with sigma2 > 0 every fwd after it, non-finite,
+    # so the kernel has raised OverflowError. Every other beta is its own
+    # bound, except opt's in layer M, np.minimum(bound, beta_glb) with
+    # beta_glb >= 0; so none is negative or above its bound.
     return _rate_reports(net, opt), _rate_reports(net, allmax)

@@ -31,10 +31,12 @@ rescaling on its own.
 One rule picks the arithmetic: a single point runs on Python floats
 (`+=`, `*`, math.sqrt, math.frexp and ldexp), a batch on numpy (B,)
 columns, and the type of the values passed in decides, never an option.
-`cascade`, `_check_scaling`, `_rate_reports` and, in `layered`,
-`lemma_beta_M` and the finiteness test of `_coefficients` follow it, so a
-point pays no numpy overhead on 1-element arrays and still equals the same
-point as a one-column batch bit for bit.
+`cascade`, `_rate_reports` and, in `layered`, `lemma_beta_M` and the
+finiteness test of `_coefficients` follow it, so a point pays no numpy
+overhead on 1-element arrays and still equals the same point as a
+one-column batch bit for bit. ScalingVector checks a point's betas on
+floats; a batch's betas get no such check, since the kernel's end test
+is the one a batched sweep needs (see `layered.optimal_rates`).
 """
 from __future__ import annotations
 
@@ -174,42 +176,13 @@ class LayeredNetwork:
         return self.h_e[0] if len(set(self.h_e)) == 1 else None
 
 
-def _check_scaling(beta, beta_max) -> None:
-    """ScalingVector's rules on rows, one per layer, of one entry per node: a
-    float, or a batch's (B,) column. Every beta finite and >= 0, and within
-    its bound (up to 1e-9 relative, 1e-15 absolute) when the bounds are
-    given. An offending beta is named with its bound, the first in row
-    order: node by node, and within a batch's node point by point. A point's
-    rows of floats are checked on floats, a batch's columns by numpy."""
-    if all(isinstance(b, float) for row in beta for b in row):
-        # false for nan and inf as well as for a negative beta
-        if not all(0.0 <= b < math.inf for row in beta for b in row):
-            raise ValueError("scaling factors must be finite and >= 0")
-        if beta_max is not None:
-            if [len(row) for row in beta_max] != [len(row) for row in beta]:
-                raise ValueError("beta and beta_max shapes differ")
-            for brow, mrow in zip(beta, beta_max):
-                for b, m in zip(brow, mrow):
-                    if b > m * (1 + 1e-9) + 1e-15:
-                        raise ValueError(f"beta {b} exceeds its bound {m}")
-        return
-    beta = [np.asarray(row, dtype=float) for row in beta]
-    if not all((np.isfinite(row) & (row >= 0)).all() for row in beta):
-        raise ValueError("scaling factors must be finite and >= 0")
-    if beta_max is not None:
-        beta_max = [np.asarray(row, dtype=float) for row in beta_max]
-        if [r.shape for r in beta_max] != [r.shape for r in beta]:
-            raise ValueError("beta and beta_max shapes differ")
-        for brow, mrow in zip(beta, beta_max):
-            over = brow > mrow * (1 + 1e-9) + 1e-15
-            if over.any():
-                # a mask picks elements in C order: the first is the first offender
-                raise ValueError(f"beta {brow[over][0]} exceeds its bound {mrow[over][0]}")
-
-
 @dataclass(frozen=True)
 class ScalingVector:
-    """Per-node amplification factors with optional per-node upper bounds."""
+    """Per-node amplification factors with optional per-node upper bounds.
+
+    Every beta is finite and >= 0, and within its bound (up to 1e-9
+    relative, 1e-15 absolute) when the bounds are given; an offending beta
+    is named with its bound, the first in row order."""
 
     beta: tuple[tuple[float, ...], ...]
     beta_max: tuple[tuple[float, ...], ...] | None = None
@@ -219,7 +192,16 @@ class ScalingVector:
         if self.beta_max is not None:
             object.__setattr__(self, "beta_max",
                                tuple(tuple(map(float, row)) for row in self.beta_max))
-        _check_scaling(self.beta, self.beta_max)
+        # false for nan and inf as well as for a negative beta
+        if not all(0.0 <= b < math.inf for row in self.beta for b in row):
+            raise ValueError("scaling factors must be finite and >= 0")
+        if self.beta_max is not None:
+            if [len(row) for row in self.beta_max] != [len(row) for row in self.beta]:
+                raise ValueError("beta and beta_max shapes differ")
+            for brow, mrow in zip(self.beta, self.beta_max):
+                for b, m in zip(brow, mrow):
+                    if b > m * (1 + 1e-9) + 1e-15:
+                        raise ValueError(f"beta {b} exceeds its bound {m}")
 
     def flat(self) -> np.ndarray:
         return np.concatenate([np.asarray(row, dtype=float) for row in self.beta])

@@ -16,8 +16,8 @@ from typing import ClassVar, Iterable, NamedTuple
 import numpy as np
 
 from .layered import optimal_scaling
-from .network import (Cascade, LayeredNetwork, RateReport, ScalingVector, _rate_reports,
-                      _snooped_nodes, cascade)
+from .network import (Cascade, LayeredNetwork, RateReport, ScalingVector, _number,
+                      _rate_reports, _snooped_nodes, cascade)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per line search; each line also evaluates its two
@@ -55,8 +55,13 @@ class SearchConfig:
     refine_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
+        # integers by the model's parser, so a bad value names its key
+        for key in ("restarts", "seed"):
+            object.__setattr__(self, key, _number(key, getattr(self, key), integer=True))
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValueError(f"restarts: must be >= 1, got {self.restarts!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # random instance draws (plain rng functions so seeds stay explicit)
 # ---------------------------------------------------------------------------
+def extreme_value(rng: np.random.Generator) -> float:
+    """An ordinary value, or one log-uniform in 1e-150..1e150."""
+    if rng.random() < 0.5:
+        return float(rng.uniform(0.01, 2.0))
+    return float(10.0 ** rng.uniform(-150, 150))
+
+
 def random_network(rng: np.random.Generator, L_max: int = 4, N_max: int = 3,
                    per_node_he: bool = False) -> LayeredNetwork:
     """General evaluation-grade network: possibly ragged layer widths."""

@@ -432,6 +432,15 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err, err
 
+    @pytest.mark.parametrize("mode", ["sweep", "highsnr"])
+    def test_subcommand_mode_decides_what_config_needs(self, tmp_path, capsys, mode):
+        # the file's mode would need a sweep or a delta; solve runs and needs neither
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"network": _NET, "mode": mode}), encoding="utf-8")
+        assert main(["solve", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (Path(__file__).parent / "data" / "example1_solve.csv").read_text(), err
+
     def test_exit_1_negative_seed_flag(self, capsys):
         assert main(["solve", "--preset", "example1", "--seed", "-1"]) == 1
         assert "seed:" in capsys.readouterr().err

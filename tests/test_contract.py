@@ -12,7 +12,7 @@ import pytest
 from anc_secrecy import LayeredNetwork
 from anc_secrecy.cli import ExperimentConfig, SweepSpec, main
 from anc_secrecy.layered import closed_form_applies
-from conftest import config_to_dict
+from conftest import config_to_dict, extreme_value
 
 DRAWS = 500
 
@@ -23,13 +23,6 @@ _BARE = re.compile(r"model error: (?:math domain error|math range error"
                    r"|float division by zero|[\w ]+ encountered in [\w ]+)")
 
 
-def _value(rng) -> float:
-    """An ordinary value, or one log-uniform in 1e-150..1e150."""
-    if rng.random() < 0.5:
-        return float(rng.uniform(0.01, 2.0))
-    return float(10.0 ** rng.uniform(-150, 150))
-
-
 def _draw(rng) -> tuple[LayeredNetwork, SweepSpec, float]:
     """L 1-3, ragged widths 1-3, every M; scalar, per-layer or per-node caps
     and a scalar or per-node h_e."""
@@ -38,17 +31,18 @@ def _draw(rng) -> tuple[LayeredNetwork, SweepSpec, float]:
     M = int(rng.integers(1, L + 1))
     form = int(rng.integers(3))
     if form == 0:
-        P = _value(rng)
+        P = extreme_value(rng)
     elif form == 1:
-        P = [[_value(rng)] * n for n in widths]
+        P = [[extreme_value(rng)] * n for n in widths]
     else:
-        P = [[_value(rng) for _ in range(n)] for n in widths]
-    h_e = (_value(rng) if rng.random() < 0.7
-           else [_value(rng) for _ in range(widths[M - 1])])
-    net = LayeredNetwork(L=L, nodes_per_layer=widths, h_s=_value(rng),
-                         h=tuple(_value(rng) for _ in range(L - 1)), h_t=_value(rng),
-                         h_e=h_e, M=M, P_s=_value(rng), P=P, sigma2=_value(rng))
-    start = _value(rng)
+        P = [[extreme_value(rng) for _ in range(n)] for n in widths]
+    h_e = (extreme_value(rng) if rng.random() < 0.7
+           else [extreme_value(rng) for _ in range(widths[M - 1])])
+    net = LayeredNetwork(L=L, nodes_per_layer=widths, h_s=extreme_value(rng),
+                         h=tuple(extreme_value(rng) for _ in range(L - 1)),
+                         h_t=extreme_value(rng), h_e=h_e, M=M, P_s=extreme_value(rng), P=P,
+                         sigma2=extreme_value(rng))
+    start = extreme_value(rng)
     sweep = SweepSpec(start, start * 10.0 ** rng.uniform(1, 20), 4, "log")
     return net, sweep, float(rng.uniform(0.001, 0.2))
 

@@ -20,10 +20,11 @@ from anc_secrecy import (
     verify_against_closed_form,
 )
 from anc_secrecy.cli import SweepSpec, main
-from anc_secrecy.layered import _coefficients, closed_form_applies
+from anc_secrecy.layered import _coefficients, _lemma_points, closed_form_applies, optimal_rates
 from anc_secrecy.network import cascade
 from conftest import (
     config_to_dict,
+    extreme_value,
     max_scaling_with_layer,
     random_ecgal,
     random_feasible_scaling,
@@ -465,6 +466,36 @@ class TestLemmaClass:
             assert r_search >= r_lemma - tol, net
             beaten += r_search > r_lemma + tol
         assert beaten > 0
+
+    def test_batched_betas_are_finite_and_within_their_bounds(self):
+        # optimal_rates checks no beta itself: the kernel's end test has to
+        # catch every beta that ScalingVector would refuse. L 1-3, ragged
+        # widths 1-3, every M, per-layer caps, ordinary and extreme values
+        rng = np.random.default_rng(4245)
+        returned = 0
+        for _ in range(1000):
+            L = int(rng.integers(1, 4))
+            widths = tuple(int(rng.integers(1, 4)) for _ in range(L))
+            net = LayeredNetwork(
+                L=L, nodes_per_layer=widths, h_s=extreme_value(rng),
+                h=tuple(extreme_value(rng) for _ in range(L - 1)), h_t=extreme_value(rng),
+                h_e=extreme_value(rng), M=int(rng.integers(1, L + 1)), P_s=1.0,
+                P=[[extreme_value(rng)] * n for n in widths], sigma2=extreme_value(rng))
+            P_s = np.array([extreme_value(rng) for _ in range(4)])
+            with np.errstate(all="ignore"):
+                try:
+                    optimal_rates(net, P_s)
+                except OverflowError:
+                    continue
+                opt, allmax, _ = _lemma_points(net, P_s)
+            returned += 1
+            # the all-max betas are their own bounds
+            for c in (opt, allmax):
+                for brow, mrow in zip(c.betas, c.bounds):
+                    for b, m in zip(brow, mrow):
+                        ok = np.isfinite(b) & (b >= 0) & (b <= m * (1 + 1e-9) + 1e-15)
+                        assert ok.all(), (net, P_s, b, m)
+        assert returned > 500, returned
 
     def test_sweep_accepts_ragged_widths_with_per_layer_caps(self, tmp_path):
         rng = np.random.default_rng(4244)

@@ -12,7 +12,7 @@ from anc_secrecy import (
     beta_max_vector,
     rates,
 )
-from anc_secrecy.network import _check_scaling, _rate_reports, cascade
+from anc_secrecy.network import _rate_reports, cascade
 from conftest import random_feasible_scaling, random_network, rates_by_path_enumeration
 
 
@@ -50,68 +50,32 @@ class TestValidation:
 
     @staticmethod
     def _first_offender(beta, beta_max):
-        # the per-element loop the array check replaced: layers in order,
-        # each layer's row flattened in row order
+        # a literal loop over the layers in order, each layer's nodes in order
         for brow, mrow in zip(beta, beta_max):
-            for b, m in zip(np.ravel(brow).tolist(), np.ravel(mrow).tolist()):
+            for b, m in zip(brow, mrow):
                 if b > m * (1 + 1e-9) + 1e-15:
                     return f"beta {b} exceeds its bound {m}"
         return None
 
-    def test_batch_rows_name_the_first_offender(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            # drawn as (B, N_l) arrays; checked, as a batch's rows are laid
-            # out, as one (B,) column per node
-            bounds = [rng.uniform(0.1, 2.0, (5, int(rng.integers(1, 4)))) for _ in range(3)]
-            beta = [b * rng.uniform(0.5, 1.0, b.shape) for b in bounds]
-            beta_cols, bound_cols = [list(b.T) for b in beta], [list(b.T) for b in bounds]
-            _check_scaling(beta_cols, bound_cols)
-            _check_scaling(bound_cols, bound_cols)
-            for _ in range(int(rng.integers(1, 4))):
-                l = int(rng.integers(3))
-                k = int(rng.integers(beta[l].size))
-                beta[l].flat[k] = bounds[l].flat[k] * rng.uniform(1.01, 2.0)
-            message = self._first_offender(beta_cols, bound_cols)
-            assert message is not None
-            with pytest.raises(ValueError) as exc:
-                _check_scaling(beta_cols, bound_cols)
-            assert str(exc.value) == message
-            beta[2][-1, -1] = math.nan
-            with pytest.raises(ValueError, match="finite and >= 0"):
-                _check_scaling(beta_cols, None)
-
-    def test_point_rows_name_the_offender_a_one_column_batch_names(self):
-        # a point's rows of floats are checked on floats; they give the
-        # message of the same point as one-column batch rows
+    def test_point_rows_name_the_first_offender(self):
         rng = np.random.default_rng(78)
-
-        def columns(rows):
-            return [[np.array([x]) for x in row] for row in rows]
         for _ in range(100):
             bounds = [rng.uniform(0.1, 2.0, int(rng.integers(1, 4))).tolist() for _ in range(3)]
             beta = [[b * float(rng.uniform(0.5, 1.0)) for b in row] for row in bounds]
-            _check_scaling(beta, bounds)
-            _check_scaling(columns(beta), columns(bounds))
+            ScalingVector(beta=beta, beta_max=bounds)
             for _ in range(int(rng.integers(1, 4))):
                 l = int(rng.integers(3))
                 k = int(rng.integers(len(beta[l])))
                 beta[l][k] = bounds[l][k] * float(rng.uniform(1.01, 2.0))
-            messages = []
-            for args in ((beta, bounds), (columns(beta), columns(bounds))):
-                with pytest.raises(ValueError) as exc:
-                    _check_scaling(*args)
-                messages.append(str(exc.value))
-            assert messages[0] == messages[1] == self._first_offender(beta, bounds)
+            with pytest.raises(ValueError) as exc:
+                ScalingVector(beta=beta, beta_max=bounds)
+            assert str(exc.value) == self._first_offender(beta, bounds)
             for bad in (math.nan, math.inf, -math.inf, -1e-300):
                 beta[2][-1] = bad
-                for rows in (beta, columns(beta)):
-                    with pytest.raises(ValueError, match="finite and >= 0"):
-                        _check_scaling(rows, None)
-        for rows, bound_rows in (([[1.0, 1.0]], [[2.0]]),
-                                 (columns([[1.0, 1.0]]), columns([[2.0]]))):
-            with pytest.raises(ValueError, match="^beta and beta_max shapes differ$"):
-                _check_scaling(rows, bound_rows)
+                with pytest.raises(ValueError, match="finite and >= 0"):
+                    ScalingVector(beta=beta)
+        with pytest.raises(ValueError, match="^beta and beta_max shapes differ$"):
+            ScalingVector(beta=[[1.0, 1.0]], beta_max=[[2.0]])
 
     @pytest.mark.parametrize("cls, override, message", [
         (LayeredNetwork, dict(L=0, nodes_per_layer=()), "L must be >= 1"),

@@ -32,6 +32,26 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("restarts", 2.5, "must be a finite integer"),
+    ("restarts", True, "must be a number"),
+    ("restarts", math.nan, "must be a finite integer"),
+    ("restarts", 0, "must be >= 1"),
+    ("restarts", -1, "must be >= 1"),
+    ("seed", -1, "must be >= 0"),
+    ("seed", 1.5, "must be a finite integer"),
+    ("seed", "3", "must be a number"),
+    ("seed", True, "must be a number")])
+def test_search_config_names_the_bad_key(key, value, message):
+    with pytest.raises(ValueError, match=rf"^{key}: {message}, got "):
+        SearchConfig(**{key: value})
+
+
+def test_search_config_takes_integral_floats():
+    cfg = SearchConfig(restarts=6.0, seed=2.0)
+    assert cfg == SearchConfig(restarts=6, seed=2) and type(cfg.restarts) is int
+
+
 def test_determinism():
     cfg = SearchConfig(restarts=6, seed=1234)
     a = maximize_secrecy(EXAMPLE1, snooped=(1, 2), cfg=cfg)
