@@ -109,10 +109,11 @@ class _Objective:
     point per column); only sqrt depends on the type. It applies the
     kernel's float operations in the kernel's order, under the library's
     rules (see `network`): nodes and eavesdropper terms summed by += in node
-    order, every square as x * x. A state is (sig, fwd, num, den) entering a
-    layer, the last two the eavesdropper's signal and noise powers, so a line
-    search that moves only layer l computes the layers before l once, and
-    `line` forms what layer l's fixed nodes contribute once too. Where
+    order, every square as x * x. `advance` is the one layer step; it forms
+    a snooped node's eavesdropper term beside its beta. A state is (sig,
+    fwd, num, den) entering a layer, the last two the eavesdropper's signal
+    and noise powers, so a line search that moves only layer l computes the
+    layers before l once and steps from layer l on for each x. Where
     a state entry is not finite, the value is the kernel's at that u, which
     rescues the eavesdropper's SNR, or raises OverflowError where a power
     itself passes the float range: the objective keeps no overflow rule of
@@ -124,11 +125,13 @@ class _Objective:
     def __init__(self, net: LayeredNetwork, snoop: tuple[int, ...]):
         self.net, self.snoop, self.L, self.s2 = net, snoop, net.L, net.sigma2
         self.offs = np.cumsum([0] + list(net.nodes_per_layer)).tolist()
-        # per layer: (coordinate, power cap) of each node, squared gain out,
-        # and the snooped (node, h_e) pairs on layer M
-        self.layers = [(list(zip(range(self.offs[l], self.offs[l + 1]), net.P[l])),
-                        net.gain_out(l) ** 2,
-                        [(i, net.h_e[i]) for i in snoop] if l == net.M - 1 else [])
+        # per layer: (coordinate, power cap, eavesdropper gain or None where
+        # the node is not snooped) of each node, squared gain out, and
+        # whether the layer is snooped (layer M with a snooped node)
+        m, h_e = net.M - 1, {i: net.h_e[i] for i in snoop}
+        self.layers = [([(k, p, h_e.get(k - self.offs[l]) if l == m else None)
+                         for k, p in zip(range(self.offs[l], self.offs[l + 1]), net.P[l])],
+                        net.gain_out(l) ** 2, l == m and bool(snoop))
                        for l in range(net.L)]
         self.start = (net.P_s * net.h_s ** 2, 0.0, 0.0, 1.0)
 
@@ -147,25 +150,23 @@ class _Objective:
         return [t - e for t, e in zip(rates.r_t, rates.r_e)]
 
     def advance(self, u, state, l0: int, l1: int, sqrt=math.sqrt):
-        """The state entering layer l1 from the state entering layer l0."""
+        """The state entering layer l1 from the state entering layer l0: the
+        one layer step, for a point and a batch alike."""
         s2 = self.s2
         sig, fwd, num, den = state
-        for nodes, g, eav in self.layers[l0:l1]:
+        for nodes, g, snooped in self.layers[l0:l1]:
             rx = sig + fwd + s2
             # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
-            s_sum = q_sum = 0.0
-            bs = []
-            for k, p in nodes:
+            s_sum = q_sum = w = own = 0.0
+            for k, p, h in nodes:
                 b = u[k] * sqrt(p / rx)
                 s_sum += b
                 q_sum += b * b
-                bs.append(b)
-            if eav:
-                w = own = 0.0
-                for i, h in eav:
-                    t = bs[i] * h
+                if h is not None:
+                    t = b * h
                     w += t
                     own += t * t
+            if snooped:
                 w *= w
                 num, den = sig * w, fwd * w + s2 * own + s2
             s_sum *= s_sum
@@ -184,66 +185,14 @@ class _Objective:
         return self.value(self.advance(u, self.start, 0, self.L), u)
 
     def line(self, ul: list[float], state, l: int, lo: int, hi: int):
-        """f(x), the value at ul with u[lo:hi] (all in layer l) set to x, from
-        the state entering layer l. Layer l's per-node sqrt(p / rx), its fixed
-        nodes' betas and eavesdropper terms, and the sums over the nodes before
-        lo are formed once per line; f(x) adds the rest by += in node order and
-        continues through `advance` from layer l + 1, so f(x) == self(u) bit
-        for bit. ul is copied; where the state is not finite, f writes x into
-        the copy for the kernel to read."""
-        s2, (nodes, g, eav) = self.s2, self.layers[l]
-        sig, fwd, num, den = state
-        rx = sig + fwd + s2
-        at, off = lo - nodes[0][0], hi - nodes[0][0]
-        roots = [math.sqrt(p / rx) for _, p in nodes]
-        bs = [ul[k] * r for (k, _), r in zip(nodes, roots)]
-        s0 = q0 = w0 = own0 = 0.0
-        for b in bs[:at]:
-            s0 += b
-            q0 += b * b
-        moved, rest = roots[at:off], [(b, b * b) for b in bs[off:]]
-        # the eavesdropper's terms beta * h from the first moved node on: a
-        # fixed node's as its value, a moved node's as (root, h), its beta
-        # being x * root
-        terms = []
-        for i, h in eav:
-            if at <= i < off:
-                terms.append((None, roots[i], h))
-            elif terms:
-                terms.append((bs[i] * h, None, None))
-            else:
-                t = bs[i] * h
-                w0 += t
-                own0 += t * t
-        u, L, n = list(ul), self.L, hi - lo
-        down = l + 1 < L
+        """f(x), the value at ul with u[lo:hi] (all in layer l) set to x, by
+        `advance` from the state entering layer l, so f(x) == self(u) bit for
+        bit. ul is copied, and f writes x into the copy."""
+        u, n = list(ul), hi - lo
 
         def f(x: float) -> float:
-            s_sum, q_sum = s0, q0
-            for r in moved:
-                b = x * r
-                s_sum += b
-                q_sum += b * b
-            for b, bb in rest:
-                s_sum += b
-                q_sum += bb
-            e_num, e_den = num, den
-            if eav:
-                w, own = w0, own0
-                for t, r, h in terms:
-                    if r is not None:
-                        t = x * r * h
-                    w += t
-                    own += t * t
-                w *= w
-                e_num, e_den = sig * w, fwd * w + s2 * own + s2
-            s_sum *= s_sum
-            out = (sig * s_sum * g, (fwd * s_sum + s2 * q_sum) * g, e_num, e_den)
-            if down:
-                out = self.advance(u, out, l + 1, L)
-            if not out[0] + out[1] + out[2] + out[3] < math.inf:
-                u[lo:hi] = [x] * n  # the point the kernel evaluates
-            return self.value(out, u)
+            u[lo:hi] = [x] * n
+            return self.value(self.advance(u, state, l, self.L), u)
         return f
 
     def batch(self, X: np.ndarray, states, l0: int, log2=None):

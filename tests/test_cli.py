@@ -305,6 +305,25 @@ class TestCliProcess:
         r = _run_cli(["solve", "--preset", "example1", "--config", "x.json"])
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("argv", [["solve"],
+                                      ["solve", "--preset", "example1", "--config", "x.json"]])
+    def test_exit_1_names_the_one_source_rule(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "config error: exactly one of --config or --preset is required\n"
+
+    def test_search_whose_best_rate_is_inf_exits_2(self, tmp_path, capsys):
+        # per-node h_e sends solve to the search, whose best rate is inf at
+        # sigma2 = 1e-300 (see test_oracle)
+        d = {"network": {"L": 1, "N": 2, "h_s": 1, "h": [], "h_t": 1, "h_e": [0.5, 0.6],
+                         "M": 1, "P_s": 1e10, "P": 1e10, "sigma2": 1e-300},
+             "mode": "solve"}
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == ("model error: the inputs overflow the float range: "
+                                           "the search's best secrecy rate is inf\n")
+
     def test_stdout_when_no_output(self):
         r = _run_cli(["highsnr", "--preset", "fig5a"])
         assert r.returncode == 0, r.stderr

@@ -472,6 +472,16 @@ def test_search_refuses_results_past_the_float_range(changes):
         maximize_secrecy(net, cfg=SearchConfig(restarts=4))
 
 
+def test_search_refuses_an_infinite_best_rate():
+    # every power is in range, but sigma2 = 1e-300 takes the destination's
+    # SNR past it: the best rate is inf, and inf - inf is nan, so no final
+    # ties with it, and the search raises rather than pick a beta vector
+    net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=(0.5, 0.6), P_s=1e10, P=1e10,
+                                 sigma2=1e-300)
+    with pytest.raises(OverflowError, match="^the search's best secrecy rate is inf$"):
+        maximize_secrecy(net)
+
+
 @pytest.mark.parametrize("net", RAGGED[2:])
 def test_lockstep_refinement_matches_solo(net):
     rng = np.random.default_rng(23)
