@@ -17,10 +17,12 @@ from .layered import closed_form_applies
 from .network import LayeredNetwork, RateReport, ScalingVector, beta_max_vector, rates
 from .oracle import OracleResult, SearchConfig, maximize_secrecy
 
-# One oracle call per subset. Timed on a 2-vCPU Xeon, a default call takes
-# 0.05-0.4 s on an 8-node diamond, so its 2^8 - 1 = 255 subsets take about
-# a minute; calls at 9 and 10 nodes put all 511 or 1,023 subsets at about
-# 3 and 8 min.
+# One oracle call per subset. Timed on a 2-vCPU Xeon over nine seeded draws,
+# a default call takes 0.03-0.7 s on an 8-node diamond, 0.2 s on average, so
+# its 2^8 - 1 = 255 subsets take about a minute; calls at 9 and 10 nodes
+# (0.18 and 0.08 s on average over five draws each; from 9 nodes on the
+# coarse scan has no exhaustive grid) put all 511 or 1,023 subsets at about
+# 1.5 min each.
 _MAX_SNOOP_SUBSETS = 255
 
 

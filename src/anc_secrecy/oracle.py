@@ -66,11 +66,13 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
-    """What a search did. n_evals counts the objective evaluations performed:
-    the coarse scan's candidates, each distinct start's first value, and
-    each line search run (its scan and golden-section steps), but not a line
-    search served from the memo of searches already run (see `_refine`), so
-    it reads lower than starts times lines times cycles. multimodal is set
+    """What a search did. n_evals counts objective evaluations: the coarse
+    scan's candidates, each distinct start's first value, and 19 + 30 for
+    each line search run (its scan points and golden-section points, whether
+    read from the line's batch or evaluated alone), but neither a batch column
+    that no search reads nor a line search served from the memo of searches
+    already run (see `_refine`), so it reads lower than starts times lines
+    times cycles. multimodal is set
     where the starts end more than max(refine_tol, 1e-9) apart, and
     start_objectives holds each start's final value, so their max is the
     best value found."""
@@ -195,28 +197,55 @@ class _Objective:
             return self.value(self.advance(u, state, l, self.L), u)
         return f
 
-    def batch(self, X: np.ndarray, states, l0: int, log2=None):
-        """Values of the columns of X from the states entering layer l0, a
-        (B, 4) array of per-column states, as a list, each by math.log2 as
-        the scalar value is, so equal to it bit for bit; or, with log2
-        (np.log2), as an array, and then the states may also be one state of
-        four floats for every column, as `scan` passes them. Where a
-        column's state is not finite, its value is the kernel's, all such
-        columns in one batch. Every state entry is >= 0 or nan, so a finite
-        sum over the whole batch proves each column finite, and only a batch
-        whose sum is not finite tests its columns one by one."""
+    def _terms(self, X: np.ndarray, states, l0: int):
+        """The numpy half of a batch: per column, 1 + the destination's SNR,
+        1 + the eavesdropper's and the sum of the state leaving the network,
+        as arrays, by `advance` from the states entering layer l0."""
         state = tuple(states.T) if isinstance(states, np.ndarray) else states
         with np.errstate(over="ignore", invalid="ignore"):
             sig, fwd, num, den = self.advance(X, state, l0, self.L, np.sqrt)
-            t, e = 1.0 + sig / (fwd + self.s2), 1.0 + num / den
-            vals = (0.5 * (log2(t) - log2(e)) if log2 else
-                    [0.5 * (math.log2(a) - math.log2(b)) for a, b in zip(t.tolist(), e.tolist())])
-            total = sig + fwd + num + den
+            return 1.0 + sig / (fwd + self.s2), 1.0 + num / den, sig + fwd + num + den
+
+    def columns(self, X: np.ndarray, states: np.ndarray, l0: int):
+        """The columns of X from the states entering layer l0, a (B, 4) array
+        of per-column states, as span(lo, hi): the values of columns lo to
+        hi - 1 as value(i), column lo + i's. The numpy recursion runs for
+        every column at once; a value is formed only when value(i) is called,
+        by math.log2 as the scalar value is, so equal to it bit for bit. Where
+        a column's state is not finite, value(i) is the kernel's value at
+        that column, and so may raise, as the scalar value does: a column
+        never read never reaches the kernel."""
+        terms = self._terms(X, states, l0)
+
+        def span(lo: int, hi: int):
+            t, e, total = (a[lo:hi].tolist() for a in terms)
+
+            def value(i: int) -> float:
+                if total[i] < math.inf:  # false for inf and nan
+                    return 0.5 * (math.log2(t[i]) - math.log2(e[i]))
+                return self.kernel_values(X[:, lo + i])[0]
+            return value
+        return span
+
+    def batch(self, X: np.ndarray, states, l0: int, log2=None):
+        """Values of the columns of X from the states entering layer l0: as a
+        list, every value of `columns` read in order; or, with log2 (np.log2),
+        as an array, and then the states may also be one state of four floats
+        for every column, as `scan` passes them. There, the columns whose
+        state is not finite take the kernel's values, all in one batch. Every
+        state entry is >= 0 or nan, so a finite sum over the whole batch
+        proves each column finite, and only a batch whose sum is not finite
+        tests its columns one by one."""
+        if not log2:
+            B = X.shape[1]
+            return list(map(self.columns(X, states, l0)(0, B), range(B)))
+        t, e, total = self._terms(X, states, l0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = 0.5 * (log2(t) - log2(e))
             if not math.isfinite(total.sum()):
                 defer = np.flatnonzero(~np.isfinite(total))
-                for j, v in zip(defer.tolist(),
-                                self.kernel_values(X.T[defer]) if defer.size else ()):
-                    vals[j] = v
+                if defer.size:  # else the sum alone passed the float range
+                    vals[defer] = self.kernel_values(X.T[defer])
         return vals
 
     def scan(self, U: np.ndarray) -> np.ndarray:
@@ -262,6 +291,30 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _line_batch():
+    """A line search's batch: the points of _LINE_SCAN, then the points the
+    golden-section search evaluates on each end bracket of a line that keeps
+    falling toward x = 0 or rising toward x = 1, recorded from `_golden_max`
+    itself; and, by the scan index of each end, the batch column of its
+    first point and each point's index among them."""
+    scan = _LINE_SCAN.tolist()
+    batch, ends = list(scan), {}
+    for j, lo, hi, slope in ((0, scan[0], scan[1], -1.0),
+                             (len(scan) - 1, scan[-2], scan[-1], 1.0)):
+        path: list[float] = []
+        _golden_max(lambda x: path.append(x) or slope * x, lo, hi)
+        ends[j] = (len(batch), {x: i for i, x in enumerate(path)})
+        batch += path
+    return np.array(batch), ends
+
+
+# a line whose scan peaks at an end of _LINE_SCAN mostly keeps rising
+# toward that end, so every golden-section comparison steps toward it and
+# its points are known before the search runs: `_refine` evaluates them in
+# the line's batch beside the scan
+_LINE_BATCH, _END_PATHS = _line_batch()
+
+
 def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]]
             ) -> tuple[list[tuple[float, np.ndarray, bool]], int]:
     """Cyclic coordinate ascent with golden-section line searches, all
@@ -274,17 +327,25 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     block moves escape the diagonal traps where every single-coordinate move
     from a coordinate-wise maximum loses. A line search is a coarse scan,
     batched over the searches a line needs, plus a golden-section refinement
-    of the bracketing interval, by `_Objective.line`. A line search reads
+    of the bracketing interval. Each search's columns of the batch hold its
+    scan and the golden-section points of both end brackets (`_END_PATHS`),
+    and a column's value is formed only when it is read (`_Objective.columns`).
+    Where the scan peaks at an end, the refinement reads its points from the
+    batch while it keeps stepping toward that end; any other point, and every
+    point of an interior peak, is evaluated alone by `_Objective.line`. Both
+    give the same value bit for bit, so the batch changes no comparison.
+    A line search reads
     only the coordinates outside its line, so its result (x, value) is kept
     in a memo for the call, keyed on the line and the bytes of those
     coordinates. A start whose key is there, from its own earlier cycle or
     from another start, takes the stored result under its own test (value
     above its best); only the distinct missing keys are searched, so starts
     in equal states share all their work. The memo changes no result.
-    Returns per-start (best, u, converged) and the number of evaluations
-    performed, each distinct start's first value counted once.
+    Returns per-start (best, u, converged) and the number of evaluations:
+    each distinct start's first value once, and 19 + 30 per line search run,
+    its scan and golden-section points, however many batch columns it read.
     """
-    n, ns, scan = len(starts), _LINE_SCAN.size, _LINE_SCAN.tolist()
+    n, ns, nc, scan = len(starts), _LINE_SCAN.size, _LINE_BATCH.size, _LINE_SCAN.tolist()
     us = [s.astype(float) for s in starts]
     # each distinct start's first value, evaluated once
     distinct = {u.tobytes(): u for u in us}
@@ -305,14 +366,22 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
             if todo:
                 uls = [us[k].tolist() for k in todo.values()]
                 states = [obj.advance(ul, obj.start, 0, l) for ul in uls]
-                X = np.repeat(np.array(uls).T, ns, axis=1)
-                X[lo:hi] = np.tile(_LINE_SCAN, len(uls))
-                vals = obj.batch(X, np.repeat(states, ns, axis=0), l)
+                X = np.repeat(np.array(uls).T, nc, axis=1)
+                X[lo:hi] = np.tile(_LINE_BATCH, len(uls))
+                span = obj.columns(X, np.repeat(states, nc, axis=0), l)
                 for g, (key, ul, state) in enumerate(zip(todo, uls, states)):
-                    row = vals[g * ns:(g + 1) * ns]
+                    at = g * nc
+                    row = list(map(span(at, at + ns), range(ns)))
                     j = int(np.argmax(row))
-                    x_g, v_g = _golden_max(obj.line(ul, state, l, lo, hi),
-                                           scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
+                    f = line = obj.line(ul, state, l, lo, hi)
+                    if j in _END_PATHS:
+                        # this end's golden-section points are read from the batch
+                        off, path = _END_PATHS[j]
+                        value = span(at + off, at + off + len(path))
+
+                        def f(x):
+                            return value(path[x]) if x in path else line(x)
+                    x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
                     memo[key] = (x_g, v_g) if v_g > row[j] else (scan[j], row[j])
                 evals += len(todo) * (ns + _GOLDEN_STEPS + 2)
             for k, key in zip(live, keys):

@@ -18,9 +18,10 @@ from anc_secrecy import (
     verify_against_closed_form,
 )
 from anc_secrecy.network import _rate_reports, cascade
-from anc_secrecy.oracle import (_GRID_BUDGET, _GRID_POINTS, _LINE_SCAN, _LOG_FAMILY,
-                                _RANDOM_SCAN, _SCAN_BLOCK, _candidates, _Objective, _refine,
-                                _top_k)
+from anc_secrecy import oracle
+from anc_secrecy.oracle import (_END_PATHS, _GOLDEN_STEPS, _GRID_BUDGET, _GRID_POINTS,
+                                _LINE_BATCH, _LINE_SCAN, _LOG_FAMILY, _RANDOM_SCAN, _SCAN_BLOCK,
+                                _candidates, _golden_max, _Objective, _refine, _top_k)
 from conftest import random_diamond, random_ecgal
 
 EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
@@ -553,3 +554,121 @@ def test_oracle_reproduces_its_pins():
         diag = res.diagnostics.as_dict()
         diag["start_objectives"] = [v.hex() for v in diag["start_objectives"]]
         assert diag == want["diagnostics"], case
+
+
+@pytest.mark.parametrize("end, f", [(0, lambda x: math.exp(-x)),
+                                    (_LINE_SCAN.size - 1, lambda x: x * x)])
+def test_end_paths_are_the_points_the_golden_search_evaluates(end, f):
+    # on the bracket of each end of the line scan, a line falling toward 0
+    # or rising toward 1 makes the golden-section search ask for that end's
+    # stored points, in their order, bit for bit; the batch holds them, in
+    # that order, after the scan
+    scan = _LINE_SCAN.tolist()
+    lo, hi = scan[max(end - 1, 0)], scan[min(end + 1, len(scan) - 1)]
+    asked = []
+    _golden_max(lambda x: asked.append(x) or f(x), lo, hi)
+    col, path = _END_PATHS[end]
+    assert [x.hex() for x in path] == [x.hex() for x in asked]
+    assert [x.hex() for x in _LINE_BATCH[col:col + len(path)].tolist()] == [x.hex() for x in asked]
+    assert list(path.values()) == list(range(len(path)))
+    assert len(path) == _GOLDEN_STEPS + 2 and all(lo < x < hi for x in path)
+    assert sorted(_END_PATHS) == [0, len(scan) - 1]
+    assert _LINE_BATCH[:len(scan)].tolist() == scan
+    assert _LINE_BATCH.size == len(scan) + 2 * (_GOLDEN_STEPS + 2)
+
+
+def test_a_batch_column_is_formed_only_when_read():
+    # at u = 1 the destination's power passes the float range, and the
+    # kernel raises there; at u = 0 every power is in range. A batch holding
+    # both gives the finite column's value without touching the other, and
+    # the other raises only when read, as the point itself does
+    net = LayeredNetwork.diamond(N=1, h_s=1.0, h_t=1e10, h_e=0.5, P_s=1.0, P=1e300, sigma2=1.0)
+    obj = _Objective(net, (0,))
+    value = obj.columns(np.array([[0.0, 1.0]]), np.array([obj.start] * 2), 0)(0, 2)
+    assert value(0) == obj([0.0])
+    for point in (lambda: value(1), lambda: obj([1.0])):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            point()
+
+
+def _result_bits(res):
+    diag = res.diagnostics.as_dict()
+    diag["start_objectives"] = [v.hex() for v in diag["start_objectives"]]
+    return ([[b.hex() for b in row] for row in res.beta.beta],
+            {k: v.hex() for k, v in asdict(res.rate).items()}, diag)
+
+
+def _ragged_draw(rng):
+    """L 1-3, ragged widths 1-2, every M; a cap per layer or per node, a
+    scalar or per-node h_e, and a random nonempty snooped subset of layer M."""
+    L = int(rng.integers(1, 4))
+    widths = tuple(int(rng.integers(1, 3)) for _ in range(L))
+    M = int(rng.integers(1, L + 1))
+    P = ([[float(rng.uniform(0.1, 30.0))] * n for n in widths] if rng.random() < 0.5
+         else [rng.uniform(0.1, 30.0, n).tolist() for n in widths])
+    h_e = (float(rng.uniform(0.02, 1.0)) if rng.random() < 0.5
+           else rng.uniform(0.02, 1.0, widths[M - 1]).tolist())
+    net = LayeredNetwork(L=L, nodes_per_layer=widths, h_s=float(rng.uniform(0.05, 1.3)),
+                         h=tuple(rng.uniform(0.05, 1.3, L - 1).tolist()),
+                         h_t=float(rng.uniform(0.05, 1.3)), h_e=h_e, M=M,
+                         P_s=float(rng.uniform(0.1, 30.0)), P=P,
+                         sigma2=float(rng.uniform(0.3, 2.0)))
+    snoop = np.flatnonzero(rng.random(widths[M - 1]) < 0.6).tolist()
+    return net, tuple(snoop) or (int(rng.integers(widths[M - 1])),)
+
+
+# an extreme_value draw: some of its line batches hold columns past the
+# float range, which the search reads, and the kernel rescues
+_EXTREME = LayeredNetwork(
+    L=1, nodes_per_layer=(2,), h_s=8.34145553313156e+52, h=(), h_t=2.827658315158127e+19,
+    h_e=(1.5552364764033838e-149, 5.00483268712105e+140), M=1, P_s=22325.200208972965,
+    P=((1.0145271035983704e+35, 5.196464336502346e+86),), sigma2=0.3135421097132975)
+
+
+def test_end_paths_from_the_batch_change_no_result(monkeypatch):
+    # the search with the end brackets' golden-section points read from the
+    # line batch, and with none read (an empty table): every beta, rate and
+    # diagnostic is the same to the bit, and each golden-section search asks
+    # for the same points in the same order
+    rng = np.random.default_rng(2024)
+    cases = [_ragged_draw(rng) for _ in range(300)] + [(_EXTREME, None)]
+    searches, golden = [], oracle._golden_max
+
+    def spy(f, lo, hi):
+        xs = []
+        searches.append(((lo, hi), xs))
+        return golden(lambda x: xs.append(x) or f(x), lo, hi)
+    monkeypatch.setattr(oracle, "_golden_max", spy)
+
+    def run():
+        searches.clear()
+        return ([_result_bits(maximize_secrecy(net, snoop, SearchConfig(restarts=2)))
+                 for net, snoop in cases], list(searches))
+    served, served_searches = run()
+    monkeypatch.setattr(oracle, "_END_PATHS", {})
+    assert run() == (served, served_searches)
+    # the draw holds end-peaked searches that keep stepping toward their end
+    # throughout, and ones whose comparisons leave that one-way path, which
+    # then evaluate their remaining points alone
+    scan = _LINE_SCAN.tolist()
+    ends = {(scan[0], scan[1]): list(_END_PATHS[0][1]),
+            (scan[-2], scan[-1]): list(_END_PATHS[len(scan) - 1][1])}
+    one_way = [xs == ends[b] for b, xs in served_searches if b in ends]
+    assert sum(one_way) >= 1000 and len(one_way) - sum(one_way) >= 30, \
+        (len(served_searches), len(one_way), sum(one_way))
+
+
+def test_extreme_draw_reads_batch_columns_past_the_float_range(monkeypatch):
+    # _EXTREME's line batches hold columns whose state is not finite, and the
+    # search reads some of them, by the kernel: the result is the same with
+    # and without the end paths read from the batch
+    nonfinite, columns = [], _Objective.columns
+
+    def spy(self, X, states, l0):
+        nonfinite.append(int((~np.isfinite(self._terms(X, states, l0)[2])).sum()))
+        return columns(self, X, states, l0)
+    monkeypatch.setattr(_Objective, "columns", spy)
+    served = _result_bits(maximize_secrecy(_EXTREME, cfg=SearchConfig(restarts=6)))
+    assert sum(nonfinite) > 0
+    monkeypatch.setattr(oracle, "_END_PATHS", {})
+    assert _result_bits(maximize_secrecy(_EXTREME, cfg=SearchConfig(restarts=6))) == served
