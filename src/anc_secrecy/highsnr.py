@@ -94,7 +94,7 @@ def _check_regime(net: LayeredNetwork, rows: list[tuple[float, ...]], delta: flo
     reach 1/delta. Skipped at delta = 0, which is the idealized limit."""
     if delta == 0:
         return
-    c = cascade(net, rows)
+    c = cascade(net, lambda l, bmax: rows[l])
     for l in range(net.L):
         snr = float(c.sig[l] / (c.fwd[l] + net.sigma2))
         if snr * delta < 1.0 - 1e-9:

@@ -67,8 +67,9 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class LayerMSolution:
-    """Layer M's common optimum (see `lemma_beta_M`): floats for one point,
-    (B,) arrays for a batch, with one sign_positive either way."""
+    """Layer M's common optimum (see `lemma_beta_M`): a float beta_opt and
+    beta_glb and a bool clipped for one point, (B,) arrays for a batch, with
+    one bool sign_positive either way."""
 
     beta_opt: float
     beta_glb: float
@@ -184,23 +185,12 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
     Elementwise over a batch: coeffs as `_coefficients` returns it for a
     batch and a (B,) beta_M_max give a LayerMSolution of (B,) arrays, but
     one sign_positive, since the sign does not depend on P_s. A point, a
-    scalar beta_M_max, runs on floats with the same operations and gets
-    floats; its minimum propagates nan as np.minimum does.
+    scalar beta_M_max, runs the same numpy body as a 0-d array and gets
+    floats and bools back. It keeps no float path of its own, unlike
+    `cascade` and `_rate_reports`: it runs once per solve, never in the
+    search oracle's per-point deferrals.
     """
     sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
-    if isinstance(beta_M_max, float) or np.ndim(beta_M_max) == 0:
-        bmax = float(beta_M_max)
-        beta_opt = beta_glb = 0.0
-        if not sign <= 0:
-            cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
-            denom = abs(cal_b) + math.sqrt(cal_b * cal_b + 4.0 * abs(cal_a) * cal_c)
-            if math.isinf(denom):
-                raise OverflowError("the layer-M quadratic's root is not finite")
-            # false for a nan denominator too, as np.where's test is
-            beta_glb = math.sqrt(2.0 * cal_c / denom) if denom > 0 else math.inf
-            beta_opt = bmax if bmax < beta_glb or bmax != bmax else beta_glb
-        clipped = sign > 0 and beta_glb >= bmax * (1 - 1e-12)
-        return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
     bmax = np.asarray(beta_M_max, dtype=float)
     if sign <= 0:
         beta_opt = beta_glb = np.zeros_like(bmax)
@@ -213,6 +203,8 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
             raise OverflowError("the layer-M quadratic's root is not finite")
         beta_opt = np.minimum(bmax, beta_glb)
     clipped = (sign > 0) & (beta_glb >= bmax * (1 - 1e-12))
+    if bmax.ndim == 0:
+        beta_opt, beta_glb, clipped = float(beta_opt), float(beta_glb), bool(clipped)
     return LayerMSolution(beta_opt, beta_glb, clipped, sign > 0)
 
 

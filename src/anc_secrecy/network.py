@@ -28,15 +28,18 @@ same way everywhere. Where the eavesdropper's powers pass the float range,
 two; the oracle's objective takes the kernel's value there rather than
 rescaling on its own.
 
-One rule picks the arithmetic: a single point runs on Python floats
-(`+=`, `*`, math.sqrt, math.frexp and ldexp), a batch on numpy (B,)
-columns, and the type of the values passed in decides, never an option.
-`cascade`, `_rate_reports` and, in `layered`, `lemma_beta_M` and the
-finiteness test of `_coefficients` follow it, so a point pays no numpy
-overhead on 1-element arrays and still equals the same point as a
-one-column batch bit for bit. ScalingVector checks a point's betas on
-floats; a batch's betas get no such check, since the kernel's end test
-is the one a batched sweep needs (see `layered.optimal_rates`).
+One rule picks the arithmetic: the type of the values passed in decides,
+never an option. A batch runs on numpy (B,) columns. `cascade` and
+`_rate_reports` also run a single point on Python floats (`+=`, `*`,
+math.sqrt, math.frexp and ldexp), and the finiteness test of
+`layered._coefficients` takes either: the search oracle defers each point
+whose state is not finite to them one at a time, and numpy's overhead on
+1-element arrays would dominate that traffic. Such a point still equals the
+same point as a one-column batch bit for bit. Layer M's optimum
+(`layered.lemma_beta_M`) runs once per solve and has one numpy body, which
+takes a point as a 0-d array. ScalingVector checks a point's betas on floats;
+a batch's betas get no such check, since the kernel's end test is the one a
+batched sweep needs (see `layered.optimal_rates`).
 """
 from __future__ import annotations
 
@@ -245,11 +248,11 @@ class RateColumns(NamedTuple):
 
 class Cascade(NamedTuple):
     """One front-to-back propagation, per relay layer: the betas used and
-    their bounds, a list with one entry per node (bounds None where the
-    policy fixed the betas). sig and fwd are the signal and forwarded-noise
-    powers entering each layer, then the destination's. A point's entries are
-    floats; a batch's are (B,) columns, one element per point, except those
-    that do not vary with P_s (fwd into layer 1)."""
+    their bounds, a list with one entry per node. sig and fwd are the signal
+    and forwarded-noise powers entering each layer, then the destination's.
+    A point's entries are floats (the oracle's per-point deferrals run on
+    them, see `network`); a batch's are (B,) columns, one element per point,
+    except those that do not vary with P_s (fwd into layer 1)."""
 
     betas: list
     bounds: list
@@ -267,29 +270,28 @@ def cascade(net: LayeredNetwork, policy, P_s=None) -> Cascade:
     policy(l, bmax) -> betas actually used at layer l, one per node, given
     their bounds bmax = [sqrt(P_l,i / rx_l)]; the received power of layer l+1
     is computed from those betas, so bounds always reflect the actual
-    upstream transmissions. A policy that is not callable holds every
-    layer's betas; those need no bound, so none is computed and bmax is None.
+    upstream transmissions. A policy that holds fixed betas ignores bmax:
+    `rates` passes lambda l, bmax: scaling.beta[l].
 
     One body runs a point on Python floats and a batch: a (B,) vector P_s of
     source powers in place of net.P_s makes every power and bound a (B,)
     column, and a policy then returns one column (or float) per node. Only
-    sqrt depends on the type. A layer's nodes are summed by += in node order
-    and squared as s * s, each correctly rounded alike for a float and for
-    every element of a column, so each point of a batch equals that point
-    propagated alone, bit for bit. A float ignores np.errstate, so the
-    kernel itself raises OverflowError where a power passes the float range.
+    sqrt depends on the type; the float point keeps the search oracle's
+    per-point deferrals (see `network`) free of numpy's per-call overhead.
+    A layer's nodes are summed by += in node order and squared as s * s,
+    each correctly rounded alike for a float and for every element of a
+    column, so each point of a batch equals that point propagated alone,
+    bit for bit. A float ignores np.errstate, so the kernel itself raises
+    OverflowError where a power passes the float range.
     """
     s2 = net.sigma2
     sig, fwd = (net.P_s if P_s is None else P_s) * net.h_s ** 2, 0.0
     sqrt = np.sqrt if isinstance(sig, np.ndarray) else math.sqrt
-    bounded = callable(policy)
     layers = []
     for l in range(net.L):
-        bmax = None
-        if bounded:
-            rx = sig + fwd + s2
-            bmax = [sqrt(p / rx) for p in net.P[l]]
-        b = list(policy(l, bmax) if bounded else policy[l])
+        rx = sig + fwd + s2
+        bmax = [sqrt(p / rx) for p in net.P[l]]
+        b = list(policy(l, bmax))
         # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
         s_sum = q_sum = 0.0
         for x in b:
@@ -332,17 +334,15 @@ def _rate_reports(net: LayeredNetwork, c: Cascade,
                   snooped: Iterable[int] | None = None) -> RateColumns:
     """The rates of each point of a cascade, one point's or a batch's (see
     `rates`), as columns. The snooped nodes' terms are summed by += in node
-    order and squared as t * t, and each point's logs are taken by math.log2,
-    so a point of a batch equals the point alone. A point runs on floats, a
-    batch on (B,) columns, with the same operations in the same order."""
+    order (to 0 where none is snooped) and squared as t * t, and each
+    point's logs are taken by math.log2, so a point of a batch equals the
+    point alone. A point runs on floats, a batch on (B,) columns, with the
+    same operations in the same order."""
     s2, m = net.sigma2, net.M - 1
     point = not isinstance(c.sig[-1], np.ndarray)
     snr_t = c.sig[-1] / (c.fwd[-1] + s2)
     snr_t = [float(snr_t)] if point else snr_t.tolist()
-    snoop = _snooped_nodes(net, snooped)
-    if not snoop:
-        return RateColumns.from_snrs(snr_t, [0.0] * len(snr_t))
-    terms = [c.betas[m][i] * net.h_e[i] for i in snoop]
+    terms = [c.betas[m][i] * net.h_e[i] for i in _snooped_nodes(net, snooped)]
 
     def powers(scale):
         # the eavesdropper's signal and noise powers with every term times
@@ -360,6 +360,7 @@ def _rate_reports(net: LayeredNetwork, c: Cascade,
     # largest term is scaled into [0.5, 1): no square overflows then, and a
     # product does only where a power itself is near the float maximum
     if point:
+        # floats: the oracle defers non-finite points here one by one, 4x faster than (1,) arrays
         num, den = powers(1.0)
         if not (math.isfinite(num) and math.isfinite(den)):
             # a nan term makes the SNR nan at any scale
@@ -383,5 +384,5 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     the eavesdropper: the coherent source component and the noise forwarded
     from layers 1..M-1 arrive through them, plus their own thermal noise.
     """
-    return _rate_reports(net, cascade(net, scaling.beta), snooped).point()
+    return _rate_reports(net, cascade(net, lambda l, bmax: scaling.beta[l]), snooped).point()
 

@@ -227,21 +227,21 @@ class _Objective:
             return value
         return span
 
-    def batch(self, X: np.ndarray, states, l0: int, log2=None):
-        """Values of the columns of X from the states entering layer l0: as a
-        list, every value of `columns` read in order; or, with log2 (np.log2),
-        as an array, and then the states may also be one state of four floats
-        for every column, as `scan` passes them. There, the columns whose
-        state is not finite take the kernel's values, all in one batch. Every
-        state entry is >= 0 or nan, so a finite sum over the whole batch
-        proves each column finite, and only a batch whose sum is not finite
-        tests its columns one by one."""
-        if not log2:
-            B = X.shape[1]
-            return list(map(self.columns(X, states, l0)(0, B), range(B)))
+    def batch(self, X: np.ndarray, states, l0: int) -> np.ndarray:
+        """Values of the columns of X from the states entering layer l0, as
+        an array with np.log2's logs: `scan`'s evaluator of one block. The
+        states are a (B, 4) array of per-column states or one state of four
+        floats for every column, as `scan` passes them. The columns whose
+        state is not finite take the kernel's values, all in one batch,
+        where `value` and `columns` defer one point at a time to the
+        kernel's float path. Every state entry is >= 0 or nan, so a finite
+        sum over the whole batch proves each column finite, and only a batch
+        whose sum is not finite tests its columns one by one. `columns`
+        reads values by math.log2 instead, each equal to the scalar value
+        bit for bit."""
         t, e, total = self._terms(X, states, l0)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = 0.5 * (log2(t) - log2(e))
+            vals = 0.5 * (np.log2(t) - np.log2(e))
             if not math.isfinite(total.sum()):
                 defer = np.flatnonzero(~np.isfinite(total))
                 if defer.size:  # else the sum alone passed the float range
@@ -259,7 +259,7 @@ class _Objective:
         state becomes (B,) columns at the first layer, and the
         eavesdropper's powers stay floats where no node is snooped."""
         blocks = np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK)))
-        return np.concatenate([self.batch(b.T, self.start, 0, np.log2) for b in blocks])
+        return np.concatenate([self.batch(b.T, self.start, 0) for b in blocks])
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:

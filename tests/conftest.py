@@ -143,6 +143,11 @@ def scan_symmetric_diamond(net: LayeredNetwork, step: float = 1e-4,
 # ---------------------------------------------------------------------------
 # reference formulas and policies
 # ---------------------------------------------------------------------------
+def fixed_betas(beta):
+    """The cascade policy that holds each layer's betas as given."""
+    return lambda l, bmax: beta[l]
+
+
 def max_scaling_with_layer(net: LayeredNetwork, layer: int, beta_layer) -> ScalingVector:
     """All layers at max except `layer` (0-based), which uses beta_layer, a
     scalar for every node or one value per node. Downstream bounds follow

@@ -27,6 +27,7 @@ from anc_secrecy import (
 from anc_secrecy.cli import run
 from anc_secrecy.network import cascade
 from conftest import (
+    fixed_betas,
     max_scaling_with_layer,
     noise_power_bound,
     plateau_index,
@@ -164,7 +165,7 @@ def test_criterion_5_invariant_suite():
             P_s=float(rng.uniform(0.1, 30.0)), P=float(rng.uniform(0.1, 30.0)),
             sigma2=float(rng.uniform(0.3, 2.0)))
         sv = random_feasible_scaling(rng, net)
-        c = cascade(net, sv.beta)
+        c = cascade(net, fixed_betas(sv.beta))
         for l in range(net.L):
             for n, b in enumerate(sv.beta[l]):
                 assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)
@@ -209,7 +210,7 @@ def test_criterion_5_invariant_suite():
         assert r_delta <= c_cut + 1e-9
         assert r_opt <= c_cut + 1e-9
         assert -1e-9 <= c_cut - r_delta <= gap_bound(hnet, delta) + 1e-9
-        noise = cascade(hnet, sv_delta.beta).fwd[-1]
+        noise = cascade(hnet, fixed_betas(sv_delta.beta)).fwd[-1]
         assert noise <= noise_power_bound(hnet, delta) * (1 + 1e-12)
 
     # -- gap_bound -> 0 as delta -> 0, strictly decreasing ------------------

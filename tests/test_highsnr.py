@@ -16,7 +16,7 @@ from anc_secrecy import (
     rates,
 )
 from anc_secrecy.network import cascade
-from conftest import noise_power_bound, plateau_index, snr_e_by_k
+from conftest import fixed_betas, noise_power_bound, plateau_index, snr_e_by_k
 
 FIG5A = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
                        h_t=0.203, h_e=0.031, M=2, P_s=500.0, P=500.0, sigma2=1.0)
@@ -90,7 +90,7 @@ class TestDeltaScaling:
                 sv = high_snr_scaling(net, delta)
             except RegimeViolationError:
                 continue
-            c = cascade(net, sv.beta)
+            c = cascade(net, fixed_betas(sv.beta))
             for l in range(net.L):
                 tx = sv.beta[l][0] ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2)
                 assert tx <= net.layer_caps[l] * (1 + 1e-12)
@@ -101,7 +101,7 @@ class TestDeltaScaling:
         from dataclasses import replace
         for p_s in (1e4, 1e6, 1e8):
             net = replace(FIG5A, P_s=p_s)
-            c = cascade(net, high_snr_scaling(net, 0.005).beta)
+            c = cascade(net, fixed_betas(high_snr_scaling(net, 0.005).beta))
             expected = 4 * 500.0 * 0.203 ** 2 / 1.005 ** 2
             assert c.sig[-1] == pytest.approx(expected, rel=1e-12)
 
@@ -278,7 +278,8 @@ class TestSandwichAndNoiseBound:
             except RegimeViolationError:
                 continue
             checked += 1
-            assert cascade(net, sv.beta).fwd[-1] <= noise_power_bound(net, delta) * (1 + 1e-12)
+            noise = cascade(net, fixed_betas(sv.beta)).fwd[-1]
+            assert noise <= noise_power_bound(net, delta) * (1 + 1e-12)
 
     def test_bounds_need_the_narrowest_layer(self):
         # layer 1 (one node) sits near the regime's edge, sigma2 / P_R1 =
@@ -288,7 +289,7 @@ class TestSandwichAndNoiseBound:
         net = LayeredNetwork(L=2, nodes_per_layer=(1, 4), h_s=1.0, h=(1.0,), h_t=1.0,
                              h_e=0.1, M=2, P_s=101.0, P=((1e6,), (1.0,) * 4),
                              sigma2=1.0)
-        noise = cascade(net, high_snr_scaling(net, 0.01).beta).fwd[-1]
+        noise = cascade(net, fixed_betas(high_snr_scaling(net, 0.01).beta)).fwd[-1]
         assert noise <= noise_power_bound(net, 0.01)
         rep = high_snr_report(net, 0.01)
         assert 0.0 <= rep.actual_gap <= rep.gap_bound
@@ -316,7 +317,7 @@ def test_lemma_class_networks_succeed(net):
     formula = achievable_highsnr(net, 0.005)
     direct = rates(net, high_snr_scaling(net, 0.005))
     assert formula.r_s == pytest.approx(direct.r_s, rel=1e-10)
-    noise = cascade(net, high_snr_scaling(net, 0.005).beta).fwd[-1]
+    noise = cascade(net, fixed_betas(high_snr_scaling(net, 0.005).beta)).fwd[-1]
     assert noise <= noise_power_bound(net, 0.005)
 
 

@@ -13,7 +13,8 @@ from anc_secrecy import (
     rates,
 )
 from anc_secrecy.network import _rate_reports, cascade
-from conftest import random_feasible_scaling, random_network, rates_by_path_enumeration
+from conftest import (fixed_betas, random_feasible_scaling, random_network,
+                      rates_by_path_enumeration)
 
 
 EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
@@ -175,7 +176,7 @@ class TestBetaMax:
         b = sv.beta[0]
         assert b[1] == pytest.approx(b[0] / 2, rel=1e-14)
         assert b[2] == pytest.approx(b[0] * 2, rel=1e-14)
-        c = cascade(net, sv.beta)
+        c = cascade(net, fixed_betas(sv.beta))
         rx = c.sig[0] + c.fwd[0] + net.sigma2
         for n, cap in enumerate((5.0, 1.25, 20.0)):
             assert b[n] ** 2 * rx == pytest.approx(cap, rel=1e-12)
@@ -185,7 +186,7 @@ class TestPropagate:
     def test_all_zero_scaling(self):
         net = random_network(np.random.default_rng(0))
         zeros = ScalingVector(beta=tuple((0.0,) * n for n in net.nodes_per_layer))
-        c = cascade(net, zeros.beta)
+        c = cascade(net, fixed_betas(zeros.beta))
         if net.L > 1:
             assert c.sig[1] == 0.0
         assert c.sig[-1] == 0.0
@@ -195,14 +196,14 @@ class TestPropagate:
         net = LayeredNetwork(L=1, nodes_per_layer=(1,), h_s=0.8, h=(), h_t=0.5,
                              h_e=0.1, M=1, P_s=3.0, P=2.0, sigma2=0.7)
         beta = 0.9
-        c = cascade(net, ((beta,),))
+        c = cascade(net, fixed_betas(((beta,),)))
         assert c.sig[-1] == pytest.approx(3.0 * 0.64 * beta ** 2 * 0.25, rel=1e-14)
         assert c.fwd[-1] == pytest.approx(0.7 * beta ** 2 * 0.25, rel=1e-14)
 
     def test_example1_optimum_powers(self):
         # frozen by hand: beta = (sqrt(5/2.8), 0, 0), two-path formula
         b = math.sqrt(5.0 / 2.8)
-        c = cascade(EXAMPLE1, ((b, 0.0, 0.0),))
+        c = cascade(EXAMPLE1, fixed_betas(((b, 0.0, 0.0),)))
         assert c.sig[-1] == pytest.approx(0.2892857142857143, rel=1e-13)
         assert c.fwd[-1] == pytest.approx(0.16071428571428573, rel=1e-13)
         assert c.sig[0] + c.fwd[0] + EXAMPLE1.sigma2 == pytest.approx(2.8, rel=1e-14)
@@ -214,7 +215,7 @@ class TestPropagate:
         for _ in range(25):
             net = random_network(rng)
             sv = random_feasible_scaling(rng, net)
-            c = cascade(net, sv.beta)
+            c = cascade(net, fixed_betas(sv.beta))
             for l, (s, nz) in enumerate(zip(c.sig[:-1], c.fwd[:-1])):
                 rx = s + nz + net.sigma2
                 for m, p in zip(sv.beta_max[l], net.P[l]):
@@ -353,6 +354,19 @@ class TestPointOnFloats:
             parted += math.fsum(terms) != w
         assert parted > 0
 
+    def test_rescaled_point_overflows_to_inf_on_floats(self):
+        # the eavesdropper's terms (1e156) overflow their square, and after
+        # the rescale sig_M (1e308) times their sum still passes the float
+        # range: a point on floats ignores np.errstate and gets snr_e = inf,
+        # while the same point as a one-column batch raises under it
+        net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=1e160, P_s=1e308, P=1e300,
+                                     sigma2=1.0)
+        with np.errstate(all="raise"):
+            rep = rates(net, beta_max_vector(net))
+            assert rep.snr_e == math.inf and rep.r_s == 0.0
+            with pytest.raises(FloatingPointError):
+                _rate_reports(net, cascade(net, lambda l, b: b, np.array([1e308])))
+
 
 class TestRateReportInvariants:
     @given(st.floats(0, 1e6), st.floats(0, 1e6))
@@ -371,7 +385,7 @@ def test_power_constraint_respected(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng)
     sv = random_feasible_scaling(rng, net)
-    c = cascade(net, sv.beta)
+    c = cascade(net, fixed_betas(sv.beta))
     for l in range(net.L):
         for n, b in enumerate(sv.beta[l]):
             assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)

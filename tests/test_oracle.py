@@ -22,7 +22,7 @@ from anc_secrecy import oracle
 from anc_secrecy.oracle import (_END_PATHS, _GOLDEN_STEPS, _GRID_BUDGET, _GRID_POINTS,
                                 _LINE_BATCH, _LINE_SCAN, _LOG_FAMILY, _RANDOM_SCAN, _SCAN_BLOCK,
                                 _candidates, _golden_max, _Objective, _refine, _top_k)
-from conftest import random_diamond, random_ecgal
+from conftest import fixed_betas, random_diamond, random_ecgal
 
 EXAMPLE1 = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
                                   P_s=5.0, P=5.0, sigma2=1.0)
@@ -105,7 +105,7 @@ def test_iterates_feasible():
         for brow, mrow in zip(res.beta.beta, res.beta.beta_max):
             for b, m in zip(brow, mrow):
                 assert 0.0 <= b <= m
-        c = cascade(net, res.beta.beta)
+        c = cascade(net, fixed_betas(res.beta.beta))
         for l in range(net.L):
             for n, b in enumerate(res.beta.beta[l]):
                 assert b ** 2 * (c.sig[l] + c.fwd[l] + net.sigma2) <= net.P[l][n] * (1 + 1e-12)
@@ -193,6 +193,12 @@ def _subsets(n):
     return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
 
 
+def _column_values(obj, X, states, l0):
+    """Every value of `_Objective.columns` read in order, by math.log2."""
+    B = X.shape[1]
+    return list(map(obj.columns(X, states, l0)(0, B), range(B)))
+
+
 @pytest.mark.parametrize("net", RAGGED)
 def test_batched_line_values_equal_scalar_objective(net):
     rng = np.random.default_rng(17)
@@ -208,7 +214,7 @@ def test_batched_line_values_equal_scalar_objective(net):
             states = [obj.advance(u, obj.start, 0, l) for u in bases]
             X = np.repeat(np.array(bases).T, ns, axis=1)
             X[lo:hi] = np.tile(_LINE_SCAN, len(bases))
-            batched = obj.batch(X, np.repeat(states, ns, axis=0), l)
+            batched = _column_values(obj, X, np.repeat(states, ns, axis=0), l)
             scalar = [obj(col) for col in X.T.tolist()]
             assert batched == scalar, (snoop, l, lo, hi)
             # the coarse scan takes np.log2: equal up to rounding
@@ -271,7 +277,7 @@ def test_objective_defers_to_the_kernel_past_the_float_range():
     assert want == 4.643668444259674e-05
     assert obj(u) == want
     X = np.array([u, [1.0, 1.0]]).T
-    assert obj.batch(X, np.array([obj.start] * 2), 0)[0] == want
+    assert _column_values(obj, X, np.array([obj.start] * 2), 0)[0] == want
     assert obj.scan(X.T)[0] == pytest.approx(want, rel=1e-12)
     # the per-line evaluator at u's own coordinate; the block line moves both
     # nodes to u[0], where the state is not finite either
@@ -289,10 +295,10 @@ def _block_sizes(obj, U):
     """obj.scan(U), and the number of rows of each block it ran."""
     sizes, batch = [], obj.batch
 
-    def spy(X, states, l0, log2=None):
+    def spy(X, states, l0):
         assert states == obj.start  # the start state as floats
         sizes.append(X.shape[1])
-        return batch(X, states, l0, log2)
+        return batch(X, states, l0)
     obj.batch = spy
     try:
         return obj.scan(U), sizes
@@ -315,7 +321,7 @@ def test_blocked_scan_equals_one_batch():
     U[[5, n - 7]] = [1.3895988059463554e-05, 4.472909140396663e-10]
     vals, sizes = _block_sizes(obj, U)
     assert sizes == [len(b) for b in np.array_split(U, 3)]
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
     assert np.isfinite(vals).all()
     assert vals[5] == vals[n - 7] == pytest.approx(4.643668444259674e-05, rel=1e-12)
 
@@ -328,7 +334,7 @@ def test_scan_splits_its_rows_evenly(rows, blocks):
     U = np.random.default_rng(rows).random((rows, 3))
     vals, sizes = _block_sizes(obj, U)
     assert len(sizes) == blocks and sum(sizes) == rows and max(sizes) - min(sizes) <= 1
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
 
 
 def test_scan_without_snooped_nodes():
@@ -342,7 +348,7 @@ def test_scan_without_snooped_nodes():
     assert (type(num), type(den)) == (float, float)
     vals, sizes = _block_sizes(obj, U)
     assert len(sizes) == 2
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
 
 
 def test_scan_block_whose_state_sum_overflows_defers_nothing():
@@ -362,8 +368,8 @@ def test_scan_block_whose_state_sum_overflows_defers_nothing():
     obj.kernel_values = kernel_values
     vals, sizes = _block_sizes(obj, U)
     assert sizes == [_SCAN_BLOCK] and np.isfinite(vals).all()
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0, np.log2))
-    assert obj.batch(U.T, np.array([obj.start]), 0) == [obj(u) for u in U.tolist()]
+    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
+    assert _column_values(obj, U.T, np.array([obj.start]), 0) == [obj(u) for u in U.tolist()]
 
 
 def test_import_leaves_numpy_ma_unloaded():
