@@ -1,9 +1,11 @@
 """Secure analog-network-coding rates in Gaussian layered relay networks.
 
 Exact SNR/rate evaluation for amplify-and-forward relay layers with an
-eavesdropper on one layer, closed-form globally optimal scaling factors for
-symmetric diamond and equal-gain layered networks, high-SNR cutset-gap
-analysis, and a brute-force search oracle that validates every closed form.
+eavesdropper on one layer, the lemma's closed-form globally optimal scaling
+factors for layered networks with a common eavesdropper gain and one power
+cap per layer (the symmetric diamond at L = 1), high-SNR cutset-gap
+analysis, the eavesdropper's snooping-subset analysis, and a brute-force
+search oracle that validates every closed form.
 """
 from .network import (
     LayeredNetwork,
@@ -14,11 +16,9 @@ from .network import (
     rates,
 )
 from .diamond import (
-    DiamondSolution,
     SnoopAnalysis,
     SubsetResult,
     best_snoop_subset,
-    diamond_opt,
 )
 from .layered import (
     CoefficientSet,
@@ -55,11 +55,9 @@ __all__ = [
     "ScalingVector",
     "beta_max_vector",
     "rates",
-    "DiamondSolution",
     "SnoopAnalysis",
     "SubsetResult",
     "best_snoop_subset",
-    "diamond_opt",
     "CoefficientSet",
     "LayerMSolution",
     "LayeredSolution",

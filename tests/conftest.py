@@ -4,16 +4,18 @@ formulas, and random-instance draws.
 The path-enumeration evaluator below is deliberately literal: it sums gain
 products over every explicit relay path, with no shared code or recursion
 tricks from the package, so it can serve as an independent cross-check of
-the layer-by-layer power propagation. The reference formulas (the lemma's
-reduced SNRs, SNR_e with k snooped relays, the high-SNR noise bound) are
-written out here rather than in the package, which never needs them: each
-checks a step of a derivation against what the package computes.
+the layer-by-layer power propagation. The reference formulas (the paper's
+symmetric-diamond optimum, the lemma's reduced SNRs, SNR_e with k snooped
+relays, the high-SNR noise bound) are written out here rather than in the
+package, which never needs them: each checks a result or a step of a
+derivation against what the package computes. The diamond optimum keeps its
+own arithmetic, so it checks the lemma's closed form at L = 1.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,11 +23,13 @@ from anc_secrecy import (
     CoefficientSet,
     ExperimentConfig,
     LayeredNetwork,
+    RateReport,
     ScalingVector,
     beta_max_vector,
+    rates,
 )
-from anc_secrecy.diamond import _require_symmetric_diamond
 from anc_secrecy.highsnr import _bound_delta, _layer_caps, _width_factor
+from anc_secrecy.layered import closed_form_applies
 from anc_secrecy.network import cascade
 
 
@@ -143,6 +147,63 @@ def scan_symmetric_diamond(net: LayeredNetwork, step: float = 1e-4,
 # ---------------------------------------------------------------------------
 # reference formulas and policies
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class DiamondSolution:
+    """Common optimal scaling for all N relays of a symmetric diamond."""
+
+    beta_opt: float
+    beta_glb: float
+    clipped: bool
+    rate: RateReport
+    eavesdropper_absent: bool = False
+
+
+def _require_symmetric_diamond(net: LayeredNetwork) -> float:
+    """The common eavesdropper gain of a symmetric diamond: the lemma's class
+    at L = 1."""
+    if not (net.L == 1 and closed_form_applies(net)):
+        raise ValueError("symmetric diamond requires a single relay layer (L=1), "
+                         "a common eavesdropper gain and a uniform relay power cap")
+    return net.common_h_e
+
+
+def diamond_opt(net: LayeredNetwork) -> DiamondSolution:
+    """Globally optimal common scaling factor for a symmetric diamond.
+
+    beta_glb^2 = sqrt(1 / (N^2 h_t^2 h_e^2 (1 + N P_s h_s^2 / sigma2)))
+    and the optimum is min(beta_max, beta_glb) when |h_t| > |h_e|, zero
+    otherwise. h_e = 0 means there is nothing to hide from: the rate is
+    increasing in beta and the bound is optimal (flagged on the result).
+    """
+    he = _require_symmetric_diamond(net)
+    n = net.nodes_per_layer[0]
+    bmax = float(beta_max_vector(net).beta[0][0])
+    ht, he = abs(net.h_t), abs(he)
+
+    def symmetric(beta: float) -> ScalingVector:
+        return ScalingVector(beta=((beta,) * n,), beta_max=((bmax,) * n,))
+
+    if he == 0.0:
+        return DiamondSolution(beta_opt=bmax, beta_glb=math.inf, clipped=True,
+                               rate=rates(net, symmetric(bmax)),
+                               eavesdropper_absent=True)
+    if ht <= he:
+        beta_glb = _diamond_glb(net, n, ht, he) if ht > 0 else math.inf
+        return DiamondSolution(beta_opt=0.0, beta_glb=beta_glb, clipped=False,
+                               rate=rates(net, symmetric(0.0)))
+    beta_glb = _diamond_glb(net, n, ht, he)
+    clipped = beta_glb >= bmax * (1 - 1e-12)
+    beta_opt = min(bmax, beta_glb)
+    return DiamondSolution(beta_opt=beta_opt, beta_glb=beta_glb, clipped=clipped,
+                           rate=rates(net, symmetric(beta_opt)))
+
+
+def _diamond_glb(net: LayeredNetwork, n: int, ht: float, he: float) -> float:
+    rho = net.P_s * net.h_s ** 2 / net.sigma2
+    x2 = math.sqrt(1.0 / (n ** 2 * ht ** 2 * he ** 2 * (1.0 + n * rho)))
+    return math.sqrt(x2)
+
+
 def fixed_betas(beta):
     """The cascade policy that holds each layer's betas as given."""
     return lambda l, bmax: beta[l]

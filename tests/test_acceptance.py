@@ -15,7 +15,6 @@ from anc_secrecy import (
     beta_max_vector,
     bundled_presets,
     cutset_bound,
-    diamond_opt,
     extract_coefficients,
     gap_bound,
     high_snr_report,
@@ -27,6 +26,7 @@ from anc_secrecy import (
 from anc_secrecy.cli import run
 from anc_secrecy.network import cascade
 from conftest import (
+    diamond_opt,
     fixed_betas,
     max_scaling_with_layer,
     noise_power_bound,

@@ -9,7 +9,7 @@ import anc_secrecy
 PUBLIC = [
     "LayeredNetwork", "RateReport", "RegimeViolationError", "ScalingVector",
     "beta_max_vector", "rates",
-    "DiamondSolution", "SnoopAnalysis", "SubsetResult", "best_snoop_subset", "diamond_opt",
+    "SnoopAnalysis", "SubsetResult", "best_snoop_subset",
     "CoefficientSet", "LayerMSolution", "LayeredSolution", "extract_coefficients",
     "lemma_beta_M", "optimal_scaling",
     "HighSnrReport", "achievable_highsnr", "cutset_bound", "gap_bound", "high_snr_report",
@@ -24,6 +24,7 @@ REMOVED = [
     ("network", "max_scaling_with_layer"), ("layered", "reduced_snrs"),
     ("diamond", "snr_e_by_k"), ("highsnr", "noise_power_bound"),
     ("highsnr", "plateau_index"), ("cli", "_lists"),
+    ("diamond", "diamond_opt"), ("diamond", "DiamondSolution"),
 ]
 
 

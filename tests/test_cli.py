@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from anc_secrecy import ExperimentConfig, LayeredNetwork, bundled_presets
-from anc_secrecy.cli import MODES, ConfigError, load_config, main, run
+from anc_secrecy import cli
+from anc_secrecy.cli import (_MAX_SWEEP_CELLS, _MAX_SWEEP_POINTS, MODES, ConfigError,
+                             SweepSpec, load_config, main, run)
+from anc_secrecy.network import _MAX_NODES
 from conftest import config_to_dict
 
 
@@ -91,6 +94,39 @@ class TestConfig:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("h", [[0.5], 0.5])
+    def test_long_L_with_N_rejected_before_N_is_repeated(self, h):
+        # N stands for L equal widths; h's length, or a scalar h, fails
+        # before they are built, where 2**62 of them cannot even be asked for
+        bad = json.loads(json.dumps(EXAMPLE1_DICT))
+        bad["network"].update(N=2, L=2 ** 62, h=h, h_e=0.2)
+        with pytest.raises(ConfigError, match="^network: h must have L-1"):
+            ExperimentConfig.from_dict(bad)
+
+    def test_sweep_points_over_the_limit_rejected(self):
+        assert SweepSpec(1.0, 10.0, _MAX_SWEEP_POINTS, "log").points == _MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match=rf"^sweep.points: must be <= "
+                                              rf"{_MAX_SWEEP_POINTS:,}, got {_MAX_SWEEP_POINTS + 1}$"):
+            SweepSpec(1.0, 10.0, _MAX_SWEEP_POINTS + 1, "log")
+
+    def test_sweep_points_times_nodes_over_the_limit_rejected(self, monkeypatch):
+        # 25 relays: each point holds 25 columns, so 400,001 points are
+        # just past the limit though under the points limit on their own
+        def geomspace(*args, **kwargs):
+            raise AssertionError("the sweep's points were built")
+
+        monkeypatch.setattr("numpy.geomspace", geomspace)
+        net = LayeredNetwork.diamond(N=25, h_s=0.6, h_t=0.3, h_e=0.2, P_s=5.0, P=5.0,
+                                     sigma2=1.0)
+        points = _MAX_SWEEP_CELLS // 25 + 1
+        assert points <= _MAX_SWEEP_POINTS
+        cfg = ExperimentConfig(network=net, mode="sweep",
+                               sweep=SweepSpec(1.0, 10.0, points, "log"))
+        with pytest.raises(ConfigError, match=rf"^sweep.points: times the network's nodes "
+                                              rf"must be <= {_MAX_SWEEP_CELLS:,}, "
+                                              rf"got {points * 25}$"):
+            run(cfg)
 
     def test_empty_sweep_range_rejected(self):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))
@@ -299,6 +335,19 @@ class TestCliProcess:
         assert err.startswith("model error: the coarse scan's 43051186 candidates")
         assert "exceed the limit of 1000000" in err
 
+    @pytest.mark.parametrize("detail, printed", [
+        ("Unable to allocate 7.28 TiB", "model error: out of memory: Unable to allocate 7.28 TiB"),
+        ("", "model error: out of memory")])
+    def test_exit_2_out_of_memory(self, capsys, monkeypatch, detail, printed):
+        # a run under the size limits that still exhausts the machine; the
+        # runner raises at once and allocates nothing
+        def exhausted(cfg):
+            raise MemoryError(detail)
+
+        monkeypatch.setitem(cli._RUNNERS, "solve", exhausted)
+        assert main(["solve", "--preset", "fig4"]) == 2
+        assert capsys.readouterr() == ("", printed + "\n")
+
     def test_requires_exactly_one_source(self):
         r = _run_cli(["solve"])
         assert r.returncode == 1
@@ -439,7 +488,19 @@ class TestCliProcess:
         (["sweep"], {"network": _NET, "mode": "solve"}, "sweep: required for sweep mode"),
         (["highsnr"], {"network": _NET, "mode": "solve"}, "delta: required for highsnr"),
         (["solve"], None, "config: cannot read"),
-        (["solve", "--preset", "fig9"], None, "unknown preset 'fig9'")])
+        (["solve", "--preset", "fig9"], None, "unknown preset 'fig9'"),
+        # each size just past its limit, refused before anything is built
+        (["sweep"], _sweep_config(**{**_SWEEP, "points": _MAX_SWEEP_POINTS + 1}),
+         f"sweep.points: must be <= {_MAX_SWEEP_POINTS:,}"),
+        (["sweep"], {"network": {**_NET, "N": 25, "h_e": 0.2}, "mode": "sweep",
+                     "sweep": {**_SWEEP, "points": _MAX_SWEEP_CELLS // 25 + 1}},
+         f"sweep.points: times the network's nodes must be <= {_MAX_SWEEP_CELLS:,}"),
+        (["solve"], {"network": {**_NET, "N": _MAX_NODES + 1, "h_e": 0.2}, "mode": "solve"},
+         f"network.nodes_per_layer: must total <= {_MAX_NODES:,} nodes"),
+        (["solve"], {"network": {**_without(_NET, "N"), "L": 2, "M": 2, "h": [0.5], "h_e": 0.2,
+                                 "nodes_per_layer": [_MAX_NODES // 2, _MAX_NODES // 2 + 1]},
+                     "mode": "solve"},
+         f"network.nodes_per_layer: must total <= {_MAX_NODES:,} nodes")])
     def test_exit_1_config_error_names_key(self, tmp_path, capsys, argv, config, named):
         # argv without a source reads the config from a file, None leaving it unwritten
         path = tmp_path / "config.json"

@@ -11,11 +11,16 @@ from anc_secrecy import (
     SearchConfig,
     beta_max_vector,
     best_snoop_subset,
-    diamond_opt,
     maximize_secrecy,
     rates,
 )
-from conftest import random_diamond, random_feasible_scaling, scan_symmetric_diamond, snr_e_by_k
+from conftest import (
+    diamond_opt,
+    random_diamond,
+    random_feasible_scaling,
+    scan_symmetric_diamond,
+    snr_e_by_k,
+)
 
 FIG4_NET = LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
                                   P_s=10.0, P=10.0, sigma2=1.0)

@@ -11,7 +11,6 @@ from anc_secrecy import (
     LayeredNetwork,
     SearchConfig,
     beta_max_vector,
-    diamond_opt,
     extract_coefficients,
     lemma_beta_M,
     maximize_secrecy,
@@ -24,6 +23,7 @@ from anc_secrecy.layered import _coefficients, _lemma_points, closed_form_applie
 from anc_secrecy.network import cascade
 from conftest import (
     config_to_dict,
+    diamond_opt,
     extreme_value,
     max_scaling_with_layer,
     random_ecgal,

@@ -1,5 +1,6 @@
 """Network model, bound computation, propagation, and rate evaluation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from anc_secrecy import (
     beta_max_vector,
     rates,
 )
-from anc_secrecy.network import _rate_reports, cascade
+from anc_secrecy.network import _MAX_NODES, _rate_reports, cascade
 from conftest import (fixed_betas, random_feasible_scaling, random_network,
                       rates_by_path_enumeration)
 
@@ -40,6 +41,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             LayeredNetwork.diamond(N=3, h_s=1, h_t=1, h_e=(0.1, 0.2), P_s=1, P=1,
                                    sigma2=1)
+
+    @pytest.mark.parametrize("widths", [(_MAX_NODES + 1,), (1, _MAX_NODES),
+                                        (_MAX_NODES // 2, _MAX_NODES // 2 + 1)])
+    def test_rejects_nodes_over_the_limit_before_expansion(self, widths):
+        # the limit is on all layers together, each of which may be under
+        # it; the scalar h_e and P are never repeated once per node
+        L = len(widths)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^nodes_per_layer: must total <= "
+                                                 rf"{_MAX_NODES:,} nodes, got {_MAX_NODES + 1}$"):
+                LayeredNetwork(L=L, nodes_per_layer=widths, h_s=0.6, h=(0.5,) * (L - 1),
+                               h_t=0.4, h_e=0.2, M=L, P_s=5.0, P=5.0, sigma2=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
