@@ -37,6 +37,7 @@ MODES = ("solve", "subset", "sweep", "highsnr")
 # uniform width in place of nodes_per_layer; h defaults to no gains
 _NETWORK_FIELDS = tuple(f.name for f in fields(LayeredNetwork))
 _NETWORK_KEYS = {*_NETWORK_FIELDS, "N"}
+_NETWORK_REQUIRED = tuple(k for k in _NETWORK_FIELDS if k not in ("nodes_per_layer", "h"))
 _SWEEP_KEYS = {"variable", "from", "to", "points", "scale"}
 _TOP_KEYS = {"network", "mode", "sweep", "delta", "output", "seed"}
 # sweep points at most, and points times the network's nodes at most, as a
@@ -97,15 +98,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be an object")
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        if "network" not in data:
-            raise ConfigError("network: missing")
-        if "mode" not in data:
-            raise ConfigError("mode: missing")
+        _section(data, _TOP_KEYS, ("network", "mode"))
         net = _network_from_dict(data["network"])
         sweep = None
         if data.get("sweep") is not None:
@@ -117,6 +110,22 @@ class ExperimentConfig:
                    seed=_config_number("seed", data.get("seed", 0), integer=True))
 
 
+def _section(data, keys, required, name: str | None = None) -> None:
+    """Check a config section, the top level where name is None: an object
+    with no key outside keys and every key of required. The first unknown
+    key in sorted order and the first missing one in required's order are
+    named, a missing one by its dotted path."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: must be an object" if name
+                          else "config: top level must be an object")
+    unknown = set(data) - keys
+    if unknown:
+        raise ConfigError(f"{name or 'config'}: unknown key {sorted(unknown)[0]!r}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{name + '.' if name else ''}{key}: missing")
+
+
 def _config_number(key: str, value, integer: bool = False):
     """The model's number parser, with its errors as config errors."""
     try:
@@ -126,24 +135,18 @@ def _config_number(key: str, value, integer: bool = False):
 
 
 def _network_from_dict(data: dict) -> LayeredNetwork:
-    if not isinstance(data, dict):
-        raise ConfigError("network: must be an object")
-    unknown = set(data) - _NETWORK_KEYS
-    if unknown:
-        raise ConfigError(f"network: unknown key {sorted(unknown)[0]!r}")
-    for key in _NETWORK_FIELDS:
-        if key not in data and key not in ("nodes_per_layer", "h"):
-            raise ConfigError(f"network.{key}: missing")
+    _section(data, _NETWORK_KEYS, _NETWORK_REQUIRED, "network")
     values = {"h": [], **data}
-    n = values.pop("N", None)
-    if "nodes_per_layer" not in data:
-        if "N" not in data:
-            raise ConfigError("network.nodes_per_layer: missing (or give N)")
+    if ("N" in data) == ("nodes_per_layer" in data):
+        raise ConfigError("network: give N or nodes_per_layer, not both" if "N" in data
+                          else "network.nodes_per_layer: missing (or give N)")
+    if "N" in data:
         L = _config_number("network.L", data["L"], integer=True)
         # h's L - 1 gains bound L before N is repeated L times
         if L > 1 and (not isinstance(values["h"], list) or L > len(values["h"]) + 1):
             raise ConfigError("network: h must have L-1 inter-layer gains")
-        values["nodes_per_layer"] = (_config_number("network.N", n, integer=True),) * L
+        n = _config_number("network.N", values.pop("N"), integer=True)
+        values["nodes_per_layer"] = (n,) * L
     try:
         return LayeredNetwork(**values)
     except ValueError as exc:
@@ -154,14 +157,7 @@ def _network_from_dict(data: dict) -> LayeredNetwork:
 
 
 def _sweep_from_dict(data: dict) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("sweep: must be an object")
-    unknown = set(data) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"sweep: unknown key {sorted(unknown)[0]!r}")
-    for key in ("from", "to", "points"):
-        if key not in data:
-            raise ConfigError(f"sweep.{key}: missing")
+    _section(data, _SWEEP_KEYS, ("from", "to", "points"), "sweep")
     variable = data.get("variable", SweepSpec.variable)
     if variable != SweepSpec.variable:
         raise ConfigError(f"sweep.variable: only 'P_s' is supported, got {variable!r}")

@@ -197,9 +197,11 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
     else:
         cal_a, cal_b, cal_c = coeffs.cal_A, coeffs.cal_B, coeffs.cal_C
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            denom = np.abs(cal_b) + np.sqrt(cal_b * cal_b + 4.0 * np.abs(cal_a) * cal_c)
-            beta_glb = np.where(denom > 0, np.sqrt(2.0 * cal_c / denom), np.inf)
-        if np.isinf(denom).any():
+            denom = abs(cal_b) + np.sqrt(cal_b * cal_b + 4.0 * abs(cal_a) * cal_c)
+            # 2C + 1 over a zero denominator is inf, also where C is 0; over
+            # any other, the 1 is not added and the quotient is 2C / denom
+            beta_glb = np.sqrt((2.0 * cal_c + (denom == 0)) / denom)
+        if (denom == math.inf).any():
             raise OverflowError("the layer-M quadratic's root is not finite")
         beta_opt = np.minimum(bmax, beta_glb)
     clipped = (sign > 0) & (beta_glb >= bmax * (1 - 1e-12))

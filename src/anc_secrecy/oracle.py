@@ -208,58 +208,43 @@ class _Objective:
 
     def columns(self, X: np.ndarray, states: np.ndarray, l0: int):
         """The columns of X from the states entering layer l0, a (B, 4) array
-        of per-column states, as span(lo, hi): the values of columns lo to
-        hi - 1 as value(i), column lo + i's. The numpy recursion runs for
-        every column at once; a value is formed only when value(i) is called,
-        by math.log2 as the scalar value is, so equal to it bit for bit. Where
-        a column's state is not finite, value(i) is the kernel's value at
-        that column, and so may raise, as the scalar value does: a column
-        never read never reaches the kernel."""
-        terms = self._terms(X, states, l0)
+        of per-column states, as one reader: value(i) is column i's value.
+        The numpy recursion runs for every column at once; a value is formed
+        only when value(i) is called, by math.log2 as the scalar value is, so
+        equal to it bit for bit. Where a column's state is not finite,
+        value(i) is the kernel's value at that column, and so may raise, as
+        the scalar value does: a column never read never reaches the kernel."""
+        t, e, total = (a.tolist() for a in self._terms(X, states, l0))
 
-        def span(lo: int, hi: int):
-            t, e, total = (a[lo:hi].tolist() for a in terms)
-
-            def value(i: int) -> float:
-                if total[i] < math.inf:  # false for inf and nan
-                    return 0.5 * (math.log2(t[i]) - math.log2(e[i]))
-                return self.kernel_values(X[:, lo + i])[0]
-            return value
-        return span
-
-    def batch(self, X: np.ndarray, states, l0: int) -> np.ndarray:
-        """Values of the columns of X from the states entering layer l0, as
-        an array with np.log2's logs: `scan`'s evaluator of one block. The
-        states are a (B, 4) array of per-column states or one state of four
-        floats for every column, as `scan` passes them. The columns whose
-        state is not finite take the kernel's values, all in one batch,
-        where `value` and `columns` defer one point at a time to the
-        kernel's float path. Every state entry is >= 0 or nan, so a finite
-        sum over the whole batch proves each column finite, and only a batch
-        whose sum is not finite tests its columns one by one. `columns`
-        reads values by math.log2 instead, each equal to the scalar value
-        bit for bit."""
-        t, e, total = self._terms(X, states, l0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = 0.5 * (np.log2(t) - np.log2(e))
-            if not math.isfinite(total.sum()):
-                defer = np.flatnonzero(~np.isfinite(total))
-                if defer.size:  # else the sum alone passed the float range
-                    vals[defer] = self.kernel_values(X.T[defer])
-        return vals
+        def value(i: int) -> float:
+            if total[i] < math.inf:  # false for inf and nan
+                return 0.5 * (math.log2(t[i]) - math.log2(e[i]))
+            return self.kernel_values(X[:, i])[0]
+        return value
 
     def scan(self, U: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
-        candidates: the logs are np.log2's, so a value may differ from the
-        scalar one in the last bits. The rows go through `batch` in
-        round(B / _SCAN_BLOCK) even blocks (at least one), each deferring its
-        own non-finite columns to the kernel; every value is elementwise, so
-        the blocks change none of them. The recursion starts from
-        self.start as floats, the point path's rule (see `network`): the
-        state becomes (B,) columns at the first layer, and the
-        eavesdropper's powers stay floats where no node is snooped."""
-        blocks = np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK)))
-        return np.concatenate([self.batch(b.T, self.start, 0) for b in blocks])
+        candidates, as an array: the logs are np.log2's, so a value may
+        differ from the scalar one in the last bits, where `columns` reads
+        each by math.log2. The rows run in round(B / _SCAN_BLOCK) even
+        blocks (at least one); every value is elementwise, so the blocks
+        change none of them. A block's rows whose state is not finite take
+        the kernel's values, all in one batch. Every state entry is >= 0 or
+        nan, so a finite sum over the block proves each row finite, and only
+        a block whose sum is not finite tests its rows one by one. The
+        recursion starts from self.start as floats, the point path's rule
+        (see `network`): the state becomes (B,) columns at the first layer,
+        and the eavesdropper's powers stay floats where no node is snooped."""
+        vals = []
+        for block in np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK))):
+            t, e, total = self._terms(block.T, self.start, 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals.append(0.5 * (np.log2(t) - np.log2(e)))
+                if not math.isfinite(total.sum()):
+                    defer = np.flatnonzero(~np.isfinite(total))
+                    if defer.size:  # else the sum alone passed the float range
+                        vals[-1][defer] = self.kernel_values(block[defer])
+        return np.concatenate(vals)
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
@@ -327,14 +312,15 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     block moves escape the diagonal traps where every single-coordinate move
     from a coordinate-wise maximum loses. A line search is a coarse scan,
     batched over the searches a line needs, plus a golden-section refinement
-    of the bracketing interval. Each search's columns of the batch hold its
-    scan and the golden-section points of both end brackets (`_END_PATHS`),
-    and a column's value is formed only when it is read (`_Objective.columns`).
-    Where the scan peaks at an end, the refinement reads its points from the
-    batch while it keeps stepping toward that end; any other point, and every
-    point of an interior peak, is evaluated alone by `_Objective.line`. Both
-    give the same value bit for bit, so the batch changes no comparison.
-    A line search reads
+    of the bracketing interval. Search g's columns of the batch, from
+    g * _LINE_BATCH.size on, hold its scan and the golden-section points of
+    both end brackets (`_END_PATHS`). One reader over the whole batch
+    (`_Objective.columns`) gives a column's value by batch index, formed only
+    when it is read. Where the scan peaks at an end, the refinement reads its
+    points from the batch while it keeps stepping toward that end; any other
+    point, and every point of an interior peak, is evaluated alone by
+    `_Objective.line`. Both give the same value bit for bit, so the batch
+    changes no comparison. A line search reads
     only the coordinates outside its line, so its result (x, value) is kept
     in a memo for the call, keyed on the line and the bytes of those
     coordinates. A start whose key is there, from its own earlier cycle or
@@ -368,19 +354,19 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
                 states = [obj.advance(ul, obj.start, 0, l) for ul in uls]
                 X = np.repeat(np.array(uls).T, nc, axis=1)
                 X[lo:hi] = np.tile(_LINE_BATCH, len(uls))
-                span = obj.columns(X, np.repeat(states, nc, axis=0), l)
+                value = obj.columns(X, np.repeat(states, nc, axis=0), l)
                 for g, (key, ul, state) in enumerate(zip(todo, uls, states)):
                     at = g * nc
-                    row = list(map(span(at, at + ns), range(ns)))
+                    row = list(map(value, range(at, at + ns)))
                     j = int(np.argmax(row))
                     f = line = obj.line(ul, state, l, lo, hi)
                     if j in _END_PATHS:
                         # this end's golden-section points are read from the batch
                         off, path = _END_PATHS[j]
-                        value = span(at + off, at + off + len(path))
+                        off += at
 
                         def f(x):
-                            return value(path[x]) if x in path else line(x)
+                            return value(off + path[x]) if x in path else line(x)
                     x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
                     memo[key] = (x_g, v_g) if v_g > row[j] else (scan[j], row[j])
                 evals += len(todo) * (ns + _GOLDEN_STEPS + 2)

@@ -402,6 +402,8 @@ class TestCliProcess:
         *parents, leaf = key.split(".")
         target = bad[parents[0]] if parents else bad
         target[leaf] = value
+        if leaf == "nodes_per_layer":
+            del target["N"]  # the two widths exclude each other
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["solve", "--config", str(p)]) == 1
@@ -500,7 +502,12 @@ class TestCliProcess:
         (["solve"], {"network": {**_without(_NET, "N"), "L": 2, "M": 2, "h": [0.5], "h_e": 0.2,
                                  "nodes_per_layer": [_MAX_NODES // 2, _MAX_NODES // 2 + 1]},
                      "mode": "solve"},
-         f"network.nodes_per_layer: must total <= {_MAX_NODES:,} nodes")])
+         f"network.nodes_per_layer: must total <= {_MAX_NODES:,} nodes"),
+        # N is not dropped in favour of nodes_per_layer
+        (["solve"], {"network": {**_NET, "L": 2, "M": 2, "h": [0.5], "h_e": 0.2, "N": 5,
+                                 "nodes_per_layer": [2, 2]}, "mode": "solve"},
+         "network: give N or nodes_per_layer, not both"),
+        (["solve"], {**EXAMPLE1_DICT, "x": 1}, "config: unknown key 'x'")])
     def test_exit_1_config_error_names_key(self, tmp_path, capsys, argv, config, named):
         # argv without a source reads the config from a file, None leaving it unwritten
         path = tmp_path / "config.json"

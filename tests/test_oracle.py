@@ -195,8 +195,7 @@ def _subsets(n):
 
 def _column_values(obj, X, states, l0):
     """Every value of `_Objective.columns` read in order, by math.log2."""
-    B = X.shape[1]
-    return list(map(obj.columns(X, states, l0)(0, B), range(B)))
+    return list(map(obj.columns(X, states, l0), range(X.shape[1])))
 
 
 @pytest.mark.parametrize("net", RAGGED)
@@ -293,17 +292,26 @@ def test_objective_defers_to_the_kernel_past_the_float_range():
 
 def _block_sizes(obj, U):
     """obj.scan(U), and the number of rows of each block it ran."""
-    sizes, batch = [], obj.batch
+    sizes, terms = [], obj._terms
 
     def spy(X, states, l0):
         assert states == obj.start  # the start state as floats
         sizes.append(X.shape[1])
-        return batch(X, states, l0)
-    obj.batch = spy
+        return terms(X, states, l0)
+    obj._terms = spy
     try:
         return obj.scan(U), sizes
     finally:
-        del obj.batch
+        del obj._terms
+
+
+def _one_block(obj, U):
+    """obj.scan(U) with all of U's rows in one block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_SCAN_BLOCK", math.inf)
+        vals, sizes = _block_sizes(obj, U)
+    assert sizes == [len(U)]
+    return vals
 
 
 def test_blocked_scan_equals_one_batch():
@@ -321,7 +329,7 @@ def test_blocked_scan_equals_one_batch():
     U[[5, n - 7]] = [1.3895988059463554e-05, 4.472909140396663e-10]
     vals, sizes = _block_sizes(obj, U)
     assert sizes == [len(b) for b in np.array_split(U, 3)]
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
+    assert np.array_equal(vals, _one_block(obj, U))
     assert np.isfinite(vals).all()
     assert vals[5] == vals[n - 7] == pytest.approx(4.643668444259674e-05, rel=1e-12)
 
@@ -334,12 +342,12 @@ def test_scan_splits_its_rows_evenly(rows, blocks):
     U = np.random.default_rng(rows).random((rows, 3))
     vals, sizes = _block_sizes(obj, U)
     assert len(sizes) == blocks and sum(sizes) == rows and max(sizes) - min(sizes) <= 1
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
+    assert np.array_equal(vals, _one_block(obj, U))
 
 
 def test_scan_without_snooped_nodes():
     # no eavesdropper term: the eavesdropper's powers stay the start's floats
-    # through every layer, and the scan still equals the batch bit for bit
+    # through every layer, and the blocked scan still equals one block bit for bit
     net = LayeredNetwork(L=2, nodes_per_layer=(2, 3), h_s=0.7, h=(0.6,), h_t=0.5,
                          h_e=(0.3, 0.2, 0.4), M=2, P_s=10.0, P=10.0, sigma2=1.0)
     obj = _Objective(net, ())
@@ -348,7 +356,7 @@ def test_scan_without_snooped_nodes():
     assert (type(num), type(den)) == (float, float)
     vals, sizes = _block_sizes(obj, U)
     assert len(sizes) == 2
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
+    assert np.array_equal(vals, _one_block(obj, U))
 
 
 def test_scan_block_whose_state_sum_overflows_defers_nothing():
@@ -368,7 +376,7 @@ def test_scan_block_whose_state_sum_overflows_defers_nothing():
     obj.kernel_values = kernel_values
     vals, sizes = _block_sizes(obj, U)
     assert sizes == [_SCAN_BLOCK] and np.isfinite(vals).all()
-    assert np.array_equal(vals, obj.batch(U.T, np.array([obj.start]), 0))
+    assert np.array_equal(vals, _one_block(obj, U))
     assert _column_values(obj, U.T, np.array([obj.start]), 0) == [obj(u) for u in U.tolist()]
 
 
@@ -590,7 +598,7 @@ def test_a_batch_column_is_formed_only_when_read():
     # the other raises only when read, as the point itself does
     net = LayeredNetwork.diamond(N=1, h_s=1.0, h_t=1e10, h_e=0.5, P_s=1.0, P=1e300, sigma2=1.0)
     obj = _Objective(net, (0,))
-    value = obj.columns(np.array([[0.0, 1.0]]), np.array([obj.start] * 2), 0)(0, 2)
+    value = obj.columns(np.array([[0.0, 1.0]]), np.array([obj.start] * 2), 0)
     assert value(0) == obj([0.0])
     for point in (lambda: value(1), lambda: obj([1.0])):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):

@@ -139,6 +139,14 @@ def test_batch_points_equal_the_points_alone():
             assert allmax.point(k) == rates(net_p, beta_max_vector(net_p)), (lemma, p)
 
 
+def test_no_source_powers_give_empty_columns():
+    # an empty batch passes through layer M's optimum and its overflow test
+    net = bundled_presets()["fig5a"].network
+    for h_e in (net.common_h_e, 0.0):
+        opt, allmax = optimal_rates(replace(net, h_e=h_e), [])
+        assert opt.r_s == allmax.r_s == []
+
+
 def test_sweep_whose_top_point_overflows_exits_2(tmp_path, capsys):
     # P_s h_s^2 passes the float range at the last point only
     d = config_to_dict(bundled_presets()["fig5a"])
