@@ -1,11 +1,14 @@
-"""Count code lines of the Python files under src/, tests/ and benchmark/.
+"""Count code lines of the Python files under src/, tests/, benchmark/ and
+scripts/.
 
 A code line is a source line that holds part of a token other than a
 comment, a line break or an indent, and that is not part of a docstring
 (the first statement of a module, class or function when it is a string
 literal). So blank lines, comments and docstrings do not count; a
 statement that spans several lines counts each of them. Prints the count
-of each file, then each directory's total.
+of each file, then each directory's total, and last, where both are
+counted, the total of src/ and tests/ together, so that code moved from
+the library into its tests shows in one figure.
 
 Run from anywhere: python scripts/code_lines.py [DIR ...]
 """
@@ -18,7 +21,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIRS = ("src", "tests", "benchmark")
+DIRS = ("src", "tests", "benchmark", "scripts")
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -44,6 +47,7 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    totals = {}
     for name in argv or DIRS:
         total = 0
         for path in sorted((ROOT / name).rglob("*.py")):
@@ -51,6 +55,9 @@ def main(argv: list[str]) -> int:
             total += n
             print(f"{n:6d}  {path.relative_to(ROOT)}")
         print(f"{total:6d}  {name}/ (total)\n")
+        totals[name] = total
+    if {"src", "tests"} <= totals.keys():
+        print(f"{totals['src'] + totals['tests']:6d}  src/ + tests/ (total)")
     return 0
 
 

@@ -3,8 +3,9 @@ CSV output for single-shot solves, snooping-subset analyses, source-power
 sweeps, and high-SNR gap reports.
 
 Exit codes: 0 success, 1 config parse/validation error (a size above its
-limit too), 2 model validation error, inputs that overflow the float range
-or a run that exhausts memory, 3 high-SNR regime violation.
+limit or an output path that cannot be written too), 2 usage error, model
+validation error, inputs that overflow the float range or a run that
+exhausts memory, 3 high-SNR regime violation.
 """
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the sweep and delta a mode needs are checked where that mode runs,
-        # since a subcommand runs its own mode in place of the file's
+        # since the command line's mode runs in place of the file's
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
         if self.output is not None and not isinstance(self.output, str):
@@ -98,16 +99,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        _section(data, _TOP_KEYS, ("network", "mode"))
-        net = _network_from_dict(data["network"])
-        sweep = None
-        if data.get("sweep") is not None:
-            sweep = _sweep_from_dict(data["sweep"])
-        delta = data.get("delta")
-        return cls(network=net, mode=str(data["mode"]), sweep=sweep,
-                   delta=None if delta is None else _config_number("delta", delta),
-                   output=data.get("output"),
-                   seed=_config_number("seed", data.get("seed", 0), integer=True))
+        # every refusal while a config is read is a config error; the number
+        # parser's errors already start with the dotted key
+        try:
+            _section(data, _TOP_KEYS, ("network", "mode"))
+            net = _network_from_dict(data["network"])
+            sweep = None if data.get("sweep") is None else _sweep_from_dict(data["sweep"])
+            delta = data.get("delta")
+            return cls(network=net, mode=str(data["mode"]), sweep=sweep,
+                       delta=None if delta is None else _number("delta", delta),
+                       output=data.get("output"),
+                       seed=_number("seed", data.get("seed", 0), integer=True))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _section(data, keys, required, name: str | None = None) -> None:
@@ -126,14 +130,6 @@ def _section(data, keys, required, name: str | None = None) -> None:
             raise ConfigError(f"{name + '.' if name else ''}{key}: missing")
 
 
-def _config_number(key: str, value, integer: bool = False):
-    """The model's number parser, with its errors as config errors."""
-    try:
-        return _number(key, value, integer=integer)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _network_from_dict(data: dict) -> LayeredNetwork:
     _section(data, _NETWORK_KEYS, _NETWORK_REQUIRED, "network")
     values = {"h": [], **data}
@@ -141,11 +137,11 @@ def _network_from_dict(data: dict) -> LayeredNetwork:
         raise ConfigError("network: give N or nodes_per_layer, not both" if "N" in data
                           else "network.nodes_per_layer: missing (or give N)")
     if "N" in data:
-        L = _config_number("network.L", data["L"], integer=True)
+        L = _number("network.L", data["L"], integer=True)
         # h's L - 1 gains bound L before N is repeated L times
         if L > 1 and (not isinstance(values["h"], list) or L > len(values["h"]) + 1):
             raise ConfigError("network: h must have L-1 inter-layer gains")
-        n = _config_number("network.N", values.pop("N"), integer=True)
+        n = _number("network.N", values.pop("N"), integer=True)
         values["nodes_per_layer"] = (n,) * L
     try:
         return LayeredNetwork(**values)
@@ -161,9 +157,9 @@ def _sweep_from_dict(data: dict) -> SweepSpec:
     variable = data.get("variable", SweepSpec.variable)
     if variable != SweepSpec.variable:
         raise ConfigError(f"sweep.variable: only 'P_s' is supported, got {variable!r}")
-    return SweepSpec(start=_config_number("sweep.from", data["from"]),
-                     stop=_config_number("sweep.to", data["to"]),
-                     points=_config_number("sweep.points", data["points"], integer=True),
+    return SweepSpec(start=_number("sweep.from", data["from"]),
+                     stop=_number("sweep.to", data["to"]),
+                     points=_number("sweep.points", data["points"], integer=True),
                      scale=data.get("scale", "log"))
 
 
@@ -233,21 +229,16 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     return header, [[_fmt(x) for x in (*sol.beta.flat(), *astuple(sol.rate))]]
 
 
-def _bitmask(subset, width: int) -> str:
-    mask = sum(1 << i for i in subset)
-    return format(mask, f"0{width}b")
-
-
 def run_subset(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     net = cfg.network
     analysis = best_snoop_subset(net, cfg=SearchConfig(seed=cfg.seed))
     width = net.nodes_per_layer[net.M - 1]
     header = ["subset_bitmask", "r_e", "r_s"] + _beta_columns(net)
-    rows = []
-    for res in sorted(analysis.results, key=lambda r: sum(1 << i for i in r.subset)):
-        rows.append([_bitmask(res.subset, width), _fmt(res.rate.r_e),
-                     _fmt(res.rate.r_s)] + [_fmt(b) for b in res.beta.flat()])
-    return header, rows
+    rows = [[format(sum(1 << i for i in res.subset), f"0{width}b"), _fmt(res.rate.r_e),
+             _fmt(res.rate.r_s)] + [_fmt(b) for b in res.beta.flat()]
+            for res in analysis.results]
+    # equal-width binary strings sort as the numbers they spell
+    return header, sorted(rows, key=lambda row: row[0])
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
@@ -291,7 +282,10 @@ def run(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         header, rows = _RUNNERS[cfg.mode](cfg)
     if cfg.output:
-        Path(cfg.output).write_text(_render_csv(header, rows), encoding="utf-8", newline="")
+        try:
+            Path(cfg.output).write_text(_render_csv(header, rows), encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"output: cannot write {cfg.output}: {exc}") from exc
     return header, rows
 
 
@@ -307,13 +301,11 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anc-secrecy",
         description="Secure analog-network-coding rates in layered relay networks")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--preset", help="bundled preset name")
-        p.add_argument("--output", help="CSV output path (default: stdout)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", help="JSON experiment config")
+    parser.add_argument("--preset", help="bundled preset name")
+    parser.add_argument("--output", help="CSV output path (default: stdout)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
     return parser
 
 

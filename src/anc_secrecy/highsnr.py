@@ -35,6 +35,7 @@ from .network import (
     RateReport,
     RegimeViolationError,
     ScalingVector,
+    _number,
     cascade,
 )
 
@@ -70,6 +71,7 @@ def _delta_scaling(net: LayeredNetwork, delta: float
                    ) -> tuple[list[float], list[tuple[float, ...]]]:
     """P_R1..P_R(L+1) and the delta-scaled betas, one row per layer, after
     checking the regime. Raises where a relay layer receives no signal."""
+    delta = _number("delta", delta)
     caps = _layer_caps(net)
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -182,7 +184,7 @@ def _width_factor(net: LayeredNetwork) -> float:
 def _bound_delta(delta: float) -> None:
     """The bounds rest on the regime sigma2 / P_Ri <= delta, which is checked
     only at delta > 0; at delta = 0 they are not bounds."""
-    if not delta > 0:
+    if not _number("delta", delta) > 0:
         raise ValueError(f"delta = {delta:.6g}: the bounds need delta > 0")
 
 

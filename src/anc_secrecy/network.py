@@ -331,20 +331,22 @@ def beta_max_vector(net: LayeredNetwork) -> ScalingVector:
 
 def _snooped_nodes(net: LayeredNetwork, snooped: Iterable[int] | None) -> tuple[int, ...]:
     """The snooped layer-M nodes (0-based) as a sorted tuple without
-    repeats; None means the whole layer."""
+    repeats, read by the library's number parser from any iterable; None
+    means the whole layer."""
     n_m = net.nodes_per_layer[net.M - 1]
     if snooped is None:
         return tuple(range(n_m))
-    snoop = tuple(sorted(set(int(i) for i in snooped)))
+    snoop = tuple(sorted(set(_number("snooped", tuple(snooped), 1, integer=True))))
     if any(i < 0 or i >= n_m for i in snoop):
         raise ValueError("snooped node index out of range for layer M")
     return snoop
 
 
 def _rate_reports(net: LayeredNetwork, c: Cascade,
-                  snooped: Iterable[int] | None = None) -> RateColumns:
+                  snoop: Iterable[int] | None = None) -> RateColumns:
     """The rates of each point of a cascade, one point's or a batch's (see
-    `rates`), as columns. The snooped nodes' terms are summed by += in node
+    `rates`), as columns. snoop holds the snooped nodes as `_snooped_nodes`
+    gives them, None the whole layer; their terms are summed by += in node
     order (to 0 where none is snooped) and squared as t * t, and each
     point's logs are taken by math.log2, so a point of a batch equals the
     point alone. A point runs on floats, a batch on (B,) columns, with the
@@ -353,7 +355,8 @@ def _rate_reports(net: LayeredNetwork, c: Cascade,
     point = not isinstance(c.sig[-1], np.ndarray)
     snr_t = c.sig[-1] / (c.fwd[-1] + s2)
     snr_t = [float(snr_t)] if point else snr_t.tolist()
-    terms = [c.betas[m][i] * net.h_e[i] for i in _snooped_nodes(net, snooped)]
+    terms = [c.betas[m][i] * net.h_e[i]
+             for i in (range(net.nodes_per_layer[m]) if snoop is None else snoop)]
 
     def powers(scale):
         # the eavesdropper's signal and noise powers with every term times
@@ -394,6 +397,12 @@ def rates(net: LayeredNetwork, scaling: ScalingVector,
     default is the whole layer. Only the snooped nodes' transmissions reach
     the eavesdropper: the coherent source component and the noise forwarded
     from layers 1..M-1 arrive through them, plus their own thermal noise.
+    The scaling's rows must have the network's layer widths.
     """
-    return _rate_reports(net, cascade(net, lambda l, bmax: scaling.beta[l]), snooped).point()
+    widths = tuple(len(row) for row in scaling.beta)
+    if widths != net.nodes_per_layer:
+        raise ValueError(f"scaling: row widths {widths} do not match "
+                         f"nodes_per_layer {net.nodes_per_layer}")
+    return _rate_reports(net, cascade(net, lambda l, bmax: scaling.beta[l]),
+                         _snooped_nodes(net, snooped)).point()
 

@@ -228,22 +228,20 @@ class _Objective:
         differ from the scalar one in the last bits, where `columns` reads
         each by math.log2. The rows run in round(B / _SCAN_BLOCK) even
         blocks (at least one); every value is elementwise, so the blocks
-        change none of them. A block's rows whose state is not finite take
-        the kernel's values, all in one batch. Every state entry is >= 0 or
-        nan, so a finite sum over the block proves each row finite, and only
-        a block whose sum is not finite tests its rows one by one. The
-        recursion starts from self.start as floats, the point path's rule
-        (see `network`): the state becomes (B,) columns at the first layer,
-        and the eavesdropper's powers stay floats where no node is snooped."""
+        change none of them. One np.isfinite pass finds a block's rows whose
+        state is not finite, and they take the kernel's values, all in one
+        batch. The recursion starts from self.start as floats, the point
+        path's rule (see `network`): the state becomes (B,) columns at the
+        first layer, and the eavesdropper's powers stay floats where no node
+        is snooped."""
         vals = []
         for block in np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK))):
             t, e, total = self._terms(block.T, self.start, 0)
             with np.errstate(over="ignore", invalid="ignore"):
                 vals.append(0.5 * (np.log2(t) - np.log2(e)))
-                if not math.isfinite(total.sum()):
-                    defer = np.flatnonzero(~np.isfinite(total))
-                    if defer.size:  # else the sum alone passed the float range
-                        vals[-1][defer] = self.kernel_values(block[defer])
+                defer = np.flatnonzero(~np.isfinite(total))
+                if defer.size:
+                    vals[-1][defer] = self.kernel_values(block[defer])
         return np.concatenate(vals)
 
 

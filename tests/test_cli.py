@@ -361,6 +361,37 @@ class TestCliProcess:
         assert capsys.readouterr().err == \
             "config error: exactly one of --config or --preset is required\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: mode"),
+        (["solvex", "--preset", "fig4"], "argument mode: invalid choice: 'solvex'")])
+    def test_usage_error_exits_2_before_any_config(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"anc-secrecy: error: {message}" in err
+
+    def test_options_before_the_mode(self, capsys):
+        assert main(["--preset", "fig4", "solve"]) == 0
+        before = capsys.readouterr()
+        assert main(["solve", "--preset", "fig4"]) == 0
+        assert capsys.readouterr() == before and before.err == ""
+
+    def test_help_names_the_modes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{solve,subset,sweep,highsnr}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        assert main(["solve", "--preset", "fig4", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: output: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_search_whose_best_rate_is_inf_exits_2(self, tmp_path, capsys):
         # per-node h_e sends solve to the search, whose best rate is inf at
         # sigma2 = 1e-300 (see test_oracle)

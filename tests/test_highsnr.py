@@ -232,6 +232,15 @@ class TestGapBound:
             with pytest.raises(ValueError, match="the bounds need delta > 0"):
                 bound(FIG5A, delta)
 
+    @pytest.mark.parametrize("delta, message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"),
+        (-math.inf, "must be finite"), (True, "must be a number"),
+        ("0.1", "must be a number")])
+    def test_delta_not_a_finite_number_refused(self, delta, message):
+        for call in (high_snr_scaling, achievable_highsnr, gap_bound, high_snr_report):
+            with pytest.raises(ValueError, match=rf"^delta: {message}, got "):
+                call(FIG5A, delta)
+
     def test_vacuous_region_rejected(self):
         with pytest.raises(ValueError):
             gap_bound(FIG5A, 0.5)  # L*delta = 1

@@ -274,6 +274,25 @@ class TestRates:
         with pytest.raises(ValueError):
             rates(EXAMPLE1, sv, snooped=(3,))
 
+    @pytest.mark.parametrize("snooped", [[1.5], ["1"], [True], [0.999]])
+    def test_snoop_index_that_is_not_an_integer_rejected(self, snooped):
+        with pytest.raises(ValueError, match=r"^snooped: must be a"):
+            rates(EXAMPLE1, beta_max_vector(EXAMPLE1), snooped=snooped)
+
+    @pytest.mark.parametrize("snooped", [range(1, 3), {2, 1}, [1.0, 2], iter((2, 1))])
+    def test_snoop_indices_from_any_iterable(self, snooped):
+        sv = beta_max_vector(EXAMPLE1)
+        assert rates(EXAMPLE1, sv, snooped=snooped) == rates(EXAMPLE1, sv, snooped=(1, 2))
+
+    @pytest.mark.parametrize("beta, widths", [
+        (((1.0, 1.0),), "(2,)"), (((1.0,) * 4,), "(4,)"), (((1.0,) * 3, (1.0,)), "(3, 1)")])
+    def test_scaling_that_does_not_fit_the_network_rejected(self, beta, widths):
+        # too few nodes, too many, and a row past the network's layers
+        net = LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=0.2, P_s=5, P=5, sigma2=1)
+        with pytest.raises(ValueError) as exc:
+            rates(net, ScalingVector(beta=beta), snooped=(0, 1))
+        assert str(exc.value) == f"scaling: row widths {widths} do not match nodes_per_layer (3,)"
+
     def test_dead_path_gives_zero_rate(self):
         net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.5, h=(0.0,),
                              h_t=0.4, h_e=0.2, M=1, P_s=4, P=4, sigma2=1)

@@ -361,8 +361,8 @@ def test_scan_without_snooped_nodes():
 
 def test_scan_block_whose_state_sum_overflows_defers_nothing():
     # each column's state is finite (about 1e306), but a block's sum over
-    # its columns passes the float range: the columns are then tested one
-    # by one, and none goes to the kernel
+    # its columns passes the float range: the columns are tested one by
+    # one, and none goes to the kernel
     net = LayeredNetwork.diamond(N=1, h_s=1.0, h_t=1.0, h_e=1e-3, P_s=1e300, P=1e306,
                                  sigma2=1.0)
     obj = _Objective(net, (0,))
