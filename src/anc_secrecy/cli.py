@@ -53,7 +53,9 @@ _MAX_SWEEP_CELLS = 10_000_000
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep of the source power; variable names it, the only one swept."""
+    """A sweep of the source power; variable names it, the only one swept.
+    Its numbers are parsed under their config keys, sweep.from, sweep.to and
+    sweep.points, whether it is built from a config or directly."""
 
     start: float
     stop: float
@@ -62,6 +64,9 @@ class SweepSpec:
     variable: ClassVar[str] = "P_s"
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _number("sweep.from", self.start))
+        object.__setattr__(self, "stop", _number("sweep.to", self.stop))
+        object.__setattr__(self, "points", _number("sweep.points", self.points, integer=True))
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale: must be 'linear' or 'log', got {self.scale!r}")
         if self.points < 2:
@@ -88,6 +93,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.delta is not None:
+            object.__setattr__(self, "delta", _number("delta", self.delta))
+        object.__setattr__(self, "seed", _number("seed", self.seed, integer=True))
         # the sweep and delta a mode needs are checked where that mode runs,
         # since the command line's mode runs in place of the file's
         if self.mode not in MODES:
@@ -100,16 +108,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         # every refusal while a config is read is a config error; the number
-        # parser's errors already start with the dotted key
+        # parser's errors, raised by the records, already start with the dotted key
         try:
             _section(data, _TOP_KEYS, ("network", "mode"))
             net = _network_from_dict(data["network"])
             sweep = None if data.get("sweep") is None else _sweep_from_dict(data["sweep"])
-            delta = data.get("delta")
             return cls(network=net, mode=str(data["mode"]), sweep=sweep,
-                       delta=None if delta is None else _number("delta", delta),
-                       output=data.get("output"),
-                       seed=_number("seed", data.get("seed", 0), integer=True))
+                       delta=data.get("delta"), output=data.get("output"),
+                       seed=data.get("seed", 0))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -157,9 +163,7 @@ def _sweep_from_dict(data: dict) -> SweepSpec:
     variable = data.get("variable", SweepSpec.variable)
     if variable != SweepSpec.variable:
         raise ConfigError(f"sweep.variable: only 'P_s' is supported, got {variable!r}")
-    return SweepSpec(start=_number("sweep.from", data["from"]),
-                     stop=_number("sweep.to", data["to"]),
-                     points=_number("sweep.points", data["points"], integer=True),
+    return SweepSpec(start=data["from"], stop=data["to"], points=data["points"],
                      scale=data.get("scale", "log"))
 
 
@@ -184,27 +188,23 @@ def bundled_presets() -> dict[str, ExperimentConfig]:
               over source power, delta = 0.005. The point-mode source power
               sits at the high-SNR end of the sweep.
     """
-    example1 = ExperimentConfig(
-        network=LayeredNetwork.diamond(N=3, h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4),
-                                       P_s=5.0, P=5.0, sigma2=1.0),
-        mode="subset")
-    fig4 = ExperimentConfig(
-        network=LayeredNetwork.diamond(N=3, h_s=0.278, h_t=0.379, h_e=0.073,
-                                       P_s=10.0, P=10.0, sigma2=1.0),
-        mode="subset")
-    fig5a = ExperimentConfig(
-        network=LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.689, h=(0.603,),
-                               h_t=0.203, h_e=0.031, M=2, P_s=5e8, P=500.0, sigma2=1.0),
-        mode="sweep",
-        sweep=SweepSpec(start=1.0, stop=1e9, points=37, scale="log"),
-        delta=0.005)
-    fig5b = ExperimentConfig(
-        network=LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=0.260, h=(0.925,),
-                               h_t=0.113, h_e=0.012, M=2, P_s=5e8, P=500.0, sigma2=1.0),
-        mode="sweep",
-        sweep=SweepSpec(start=1.0, stop=1e9, points=37, scale="log"),
-        delta=0.005)
-    return {"example1": example1, "fig4": fig4, "fig5a": fig5a, "fig5b": fig5b}
+    def subset_diamond(power, **gains):
+        # the source and every relay send at one power
+        return ExperimentConfig(
+            network=LayeredNetwork.diamond(N=3, P_s=power, P=power, sigma2=1.0, **gains),
+            mode="subset")
+
+    def fig5(h, **gains):
+        return ExperimentConfig(
+            network=LayeredNetwork(L=2, nodes_per_layer=(2, 2), h=(h,), M=2, P_s=5e8,
+                                   P=500.0, sigma2=1.0, **gains),
+            mode="sweep", sweep=SweepSpec(start=1.0, stop=1e9, points=37, scale="log"),
+            delta=0.005)
+
+    return {"example1": subset_diamond(h_s=0.6, h_t=0.3, h_e=(0.2, 0.6, 0.4), power=5.0),
+            "fig4": subset_diamond(h_s=0.278, h_t=0.379, h_e=0.073, power=10.0),
+            "fig5a": fig5(h_s=0.689, h=0.603, h_t=0.203, h_e=0.031),
+            "fig5b": fig5(h_s=0.260, h=0.925, h_t=0.113, h_e=0.012)}
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,7 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         + h_m2 * slack * (n * lam_e + t * (mu + alpha) + n * alpha * snr))
     cal_b = -2.0 * n * nu * h_m2 * he2 * slack
     cal_c = nu * sign
-    finite = (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
-              for x in (cal_a, cal_b, cal_c))
-    if not all(finite):
+    if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
         raise OverflowError("the layer-M quadratic's coefficients are not finite")
     return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu,
                           cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)

@@ -31,19 +31,22 @@ rescaling on its own.
 One rule picks the arithmetic: the type of the values passed in decides,
 never an option. A batch runs on numpy (B,) columns. `cascade` and
 `_rate_reports` also run a single point on Python floats (`+=`, `*`,
-math.sqrt, math.frexp and ldexp), and the finiteness test of
-`layered._coefficients` takes either: the search oracle defers each point
-whose state is not finite to them one at a time, and numpy's overhead on
+math.sqrt, math.frexp and ldexp): the search oracle defers each point whose
+state is not finite to them one at a time, and numpy's overhead on
 1-element arrays would dominate that traffic. Such a point still equals the
-same point as a one-column batch bit for bit. Layer M's optimum
-(`layered.lemma_beta_M`) runs once per solve and has one numpy body, which
-takes a point as a 0-d array. ScalingVector checks a point's betas on floats;
-a batch's betas get no such check, since the kernel's end test is the one a
-batched sweep needs (see `layered.optimal_rates`).
+same point as a one-column batch bit for bit. Layer M's coefficients and
+optimum run once per solve: `layered._coefficients` tests finiteness by
+np.isfinite alone, which takes a float and an array alike, and
+`layered.lemma_beta_M` has one numpy body, which takes a point as a 0-d
+array. ScalingVector reads a point's betas and bounds with the number
+parser every model input goes through, `_number`; a batch's betas get no
+such check, since the kernel's end test is the one a batched sweep needs
+(see `layered.optimal_rates`).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -91,6 +94,8 @@ def _number(key: str, value, depth: int = 0, integer: bool = False):
 # a 341 MB peak and its solve 1.9 s; 150,000 layers take 8.4-9.4 s, 200,000
 # 9.2 s. A 100,000-relay diamond's 100-point sweep takes 2.0 s (309 MB)
 _MAX_NODES = 100_000
+# the largest gain whose square is a float: nextafter(_MAX_GAIN, inf) ** 2 overflows
+_MAX_GAIN = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,10 @@ class LayeredNetwork:
     the nodes of the snooped layer M (1-based) to the eavesdropper. P holds
     the per-relay transmit power caps, one row per layer. h_e and P are
     accepted as a scalar or per node; they are stored per node, so a network
-    built with a scalar equals the one built with its expansion.
+    built with a scalar equals the one built with its expansion. Every
+    number goes through `_number`, whose errors name the field; an h_s, h[i]
+    or h_t whose square passes the float range raises OverflowError naming
+    it.
     """
 
     L: int
@@ -147,6 +155,11 @@ class LayeredNetwork:
         for key, depth in (("h_s", 0), ("h_t", 0), ("h_e", 1), ("P_s", 0), ("P", 2),
                            ("sigma2", 0)):
             object.__setattr__(self, key, _number(key, getattr(self, key), depth))
+        # every reader squares the gains by **, which raises past the float range
+        for key, g in (("h_s", self.h_s), *((f"h[{i}]", g) for i, g in enumerate(self.h)),
+                       ("h_t", self.h_t)):
+            if abs(g) > _MAX_GAIN:
+                raise OverflowError(f"{key}: its square overflows the float range, got {g!r}")
 
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be > 0")
@@ -194,22 +207,21 @@ class LayeredNetwork:
 class ScalingVector:
     """Per-node amplification factors with optional per-node upper bounds.
 
-    Every beta is finite and >= 0, and within its bound (up to 1e-9
-    relative, 1e-15 absolute) when the bounds are given; an offending beta
-    is named with its bound, the first in row order."""
+    beta and beta_max are rows of numbers read by the library's number
+    parser, whose errors name `beta` or `beta_max`. Every beta is >= 0, and
+    within its bound (up to 1e-9 relative, 1e-15 absolute) when the bounds
+    are given; an offending beta is named with its bound, the first in row
+    order."""
 
     beta: tuple[tuple[float, ...], ...]
     beta_max: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(tuple(map(float, row)) for row in self.beta))
-        if self.beta_max is not None:
-            object.__setattr__(self, "beta_max",
-                               tuple(tuple(map(float, row)) for row in self.beta_max))
-        # false for nan and inf as well as for a negative beta
-        if not all(0.0 <= b < math.inf for row in self.beta for b in row):
+        object.__setattr__(self, "beta", _number("beta", self.beta, 2))
+        if any(b < 0 for row in self.beta for b in row):
             raise ValueError("scaling factors must be finite and >= 0")
         if self.beta_max is not None:
+            object.__setattr__(self, "beta_max", _number("beta_max", self.beta_max, 2))
             if [len(row) for row in self.beta_max] != [len(row) for row in self.beta]:
                 raise ValueError("beta and beta_max shapes differ")
             for brow, mrow in zip(self.beta, self.beta_max):

@@ -128,6 +128,22 @@ class TestConfig:
                                               rf"got {points * 25}$"):
             run(cfg)
 
+    @pytest.mark.parametrize("override, key", [
+        (dict(stop=math.inf), "sweep.to"), (dict(start="1"), "sweep.from"),
+        (dict(points=3.5), "sweep.points")])
+    def test_sweep_built_directly_parses_as_a_config(self, override, key):
+        # at stop = inf, values() would return [1, inf, inf]
+        with pytest.raises(ValueError, match=rf"^{key}: must be "):
+            SweepSpec(**{**dict(start=1.0, stop=10.0, points=3, scale="log"), **override})
+
+    @pytest.mark.parametrize("override, key", [
+        (dict(seed="3"), "seed"), (dict(seed=2.5), "seed"), (dict(seed=True), "seed"),
+        (dict(delta="x"), "delta"), (dict(delta=math.nan), "delta")])
+    def test_config_built_directly_parses_as_a_config(self, override, key):
+        net = bundled_presets()["fig4"].network
+        with pytest.raises(ValueError, match=rf"^{key}: must be "):
+            ExperimentConfig(network=net, mode="solve", **override)
+
     def test_empty_sweep_range_rejected(self):
         bad = json.loads(json.dumps(EXAMPLE1_DICT))
         bad["mode"] = "sweep"
@@ -473,6 +489,17 @@ class TestCliProcess:
         else:
             assert code == 2
             assert err.startswith("model error: the inputs overflow the float range")
+
+    @pytest.mark.parametrize("key, named", [("h_s", "h_s"), ("h", "h[0]"), ("h_t", "h_t")])
+    def test_gain_whose_square_overflows_named(self, tmp_path, capsys, key, named):
+        d = config_to_dict(bundled_presets()["fig5a"])
+        d["network"][key] = [1e155] if key == "h" else 1e155
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (f"model error: the inputs overflow the float range: "
+                                           f"{named}: its square overflows the float range, "
+                                           f"got 1e+155\n")
 
     @pytest.mark.parametrize("mode", ["sweep", "highsnr"])
     def test_cutset_bound_past_the_float_range_exits_2(self, tmp_path, capsys, mode):

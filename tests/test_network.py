@@ -1,5 +1,6 @@
 """Network model, bound computation, propagation, and rate evaluation."""
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -91,7 +92,8 @@ class TestValidation:
             assert str(exc.value) == self._first_offender(beta, bounds)
             for bad in (math.nan, math.inf, -math.inf, -1e-300):
                 beta[2][-1] = bad
-                with pytest.raises(ValueError, match="finite and >= 0"):
+                with pytest.raises(ValueError, match="finite and >= 0" if math.isfinite(bad)
+                                   else rf"^beta: must be finite, got {bad}$"):
                     ScalingVector(beta=beta)
         with pytest.raises(ValueError, match="^beta and beta_max shapes differ$"):
             ScalingVector(beta=[[1.0, 1.0]], beta_max=[[2.0]])
@@ -160,6 +162,36 @@ class TestValidation:
         params[key] = value
         with pytest.raises(ValueError, match=rf"^{key}: must be a (number|list), got "):
             LayeredNetwork(**params)
+
+
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(beta=[["0.5"]]), "beta"), (dict(beta=[[True]]), "beta"),
+        (dict(beta=[[b"1"]]), "beta"), (dict(beta=[[None]]), "beta"),
+        (dict(beta=[0.5, 0.5]), "beta"),
+        (dict(beta=[[0.5]], beta_max=[[math.nan]]), "beta_max"),
+        (dict(beta=[[0.5]], beta_max=[[math.inf]]), "beta_max")])
+    def test_scaling_reads_its_numbers_with_the_number_parser(self, kwargs, key):
+        # float() would take the first three as 0.5, 1.0 and 1.0, and the
+        # comparisons with a nan or inf bound pass
+        with pytest.raises(ValueError, match=rf"^{key}: must be "):
+            ScalingVector(**kwargs)
+
+    @pytest.mark.parametrize("key", ["h_s", "h", "h_t"])
+    def test_gain_whose_square_overflows_named(self, key):
+        # every reader squares the gains by **, which raises past the float range
+        params = dict(L=2, nodes_per_layer=(2, 2), h_s=0.6, h=(0.5,), h_t=0.4, h_e=0.2,
+                      M=2, P_s=5.0, P=5.0, sigma2=1.0)
+        largest = math.sqrt(sys.float_info.max)
+        for gain in (largest, -largest):
+            params[key] = (gain,) if key == "h" else gain
+            net = LayeredNetwork(**params)
+            assert net.h_s ** 2 + net.h[0] ** 2 + net.h_t ** 2 < math.inf
+        name = "h[0]" if key == "h" else key
+        for gain in (math.nextafter(largest, math.inf), -math.nextafter(largest, math.inf)):
+            params[key] = (gain,) if key == "h" else gain
+            with pytest.raises(OverflowError) as exc:
+                LayeredNetwork(**params)
+            assert str(exc.value) == f"{name}: its square overflows the float range, got {gain!r}"
 
 
 class TestBetaMax:
