@@ -23,7 +23,10 @@ regime keeps small: sigma2 P_R(L+1) alone can overflow.
 
 The cut, the achievable rate and the gap bound also need a common
 eavesdropper gain on the last layer (M = L), where the eavesdropper's
-received powers mirror the destination's scaled by (h_e / h_t)^2.
+received powers mirror the destination's scaled by (h_e / h_t)^2. The cut
+and the gap bound form their SNR pair in one helper, `_cut`. Where h_e^2,
+or (h_e / h_t)^2, passes the float range, |h_e| > |h_t|: both bounds are
+0 and the delta-scaled rate takes its limit, 0.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .network import (
     RateReport,
     RegimeViolationError,
     ScalingVector,
+    _MAX_GAIN,
     _number,
     cascade,
 )
@@ -126,6 +130,19 @@ def _half_log_difference(snr_t: float, snr_e: float, offset: float = 0.0) -> flo
     return max(0.0, 0.5 * (offset + math.log2(1.0 + snr_t) - math.log2(1.0 + snr_e)))
 
 
+def _cut(net: LayeredNetwork, power: float, offset: float = 0.0) -> float:
+    """`_half_log_difference` of the cut's SNR pair at a power: power
+    h_t^2 / sigma2 at the destination, power h_e^2 / sigma2 at the common
+    eavesdropper of the last layer, which it checks first. 0 where h_e^2
+    passes the float range: h_e is then above every h_t a network takes
+    (`network._MAX_GAIN`), the case of `_half_log_difference` where only
+    snr_e overflows."""
+    he, s2 = _last_layer_he(net), net.sigma2
+    if abs(he) > _MAX_GAIN:
+        return 0.0
+    return _half_log_difference(power * net.h_t ** 2 / s2, power * he ** 2 / s2, offset)
+
+
 def cutset_bound(net: LayeredNetwork) -> float:
     """Upper bound on the secrecy capacity from the multiple-access cut
     between the last relay layer (M = L) and the destination / the
@@ -137,13 +154,10 @@ def cutset_bound(net: LayeredNetwork) -> float:
     inf where P_t/sigma2 leaves the float range, 0 where only P_e/sigma2
     does (see `_half_log_difference`).
     """
-    he = _last_layer_he(net)
     r = 0.0
     for p in net.P[net.L - 1]:
         r += math.sqrt(p)
-    coherent = r * r
-    s2 = net.sigma2
-    return _half_log_difference(coherent * net.h_t ** 2 / s2, coherent * he ** 2 / s2)
+    return _cut(net, r * r)
 
 
 def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
@@ -155,7 +169,10 @@ def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
       / (n_i (1+delta)^(L-i+1)), and the eavesdropper's powers mirrored
       through (h_e / h_t)^2, a ratio formed before it scales a power.
 
-    Requires the eavesdropper on the last layer (M = L).
+    Where that ratio's square passes the float range, the eavesdropper's SNR
+    takes its limit, P_st / P_zt, and the rate its limit, r_s = 0: |h_e| >
+    |h_t| there (see `_half_log_difference`). Requires the eavesdropper on
+    the last layer (M = L).
     """
     he = _last_layer_he(net)
     if net.h_t == 0:
@@ -163,15 +180,26 @@ def achievable_highsnr(net: LayeredNetwork, delta: float) -> RateReport:
     p_r, _ = _delta_scaling(net, delta)
     s2 = net.sigma2
     L = net.L
-    p_st = p_r[L] / (1.0 + delta) ** L
-    # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
-    p_zt = 0.0
-    for i, (n, p_ri) in enumerate(zip(net.nodes_per_layer, p_r)):
-        p_zt += p_r[L] * (s2 / p_ri) / (n * (1.0 + delta) ** (L - i))
-    mirror = (he / net.h_t) ** 2
+
+    def powers(top: float) -> tuple[float, float]:
+        # the destination's signal and noise powers where P_R(L+1) = top;
+        # explicit +=: the built-in sum() of floats is compensated from Python 3.12 on
+        noise = 0.0
+        for i, (n, p_ri) in enumerate(zip(net.nodes_per_layer, p_r)):
+            noise += top * (s2 / p_ri) / (n * (1.0 + delta) ** (L - i))
+        return top / (1.0 + delta) ** L, noise
+    p_st, p_zt = powers(p_r[L])
     snr_t = p_st / (p_zt + s2)
-    snr_e = p_st * mirror / (p_zt * mirror + s2)
-    return RateReport.from_snrs(snr_t, snr_e)
+    ratio = he / net.h_t
+    if abs(ratio) > _MAX_GAIN:
+        # the mirror passes the float range: snr_e at its limit as the mirror
+        # grows, p_st / p_zt, formed per unit of P_R(L+1), which cancels. It
+        # is at least snr_t, so r_s = 0; max keeps it so where sigma2 is
+        # negligible beside p_zt and the two round apart
+        sig, noise = powers(1.0)
+        return RateReport.from_snrs(snr_t, max(snr_t, sig / noise if noise else math.inf))
+    mirror = ratio ** 2
+    return RateReport.from_snrs(snr_t, p_st * mirror / (p_zt * mirror + s2))
 
 
 def _width_factor(net: LayeredNetwork) -> float:
@@ -209,15 +237,12 @@ def gap_bound(net: LayeredNetwork, delta: float) -> float:
     inf and 0 where the SNR terms leave the float range, as for
     `cutset_bound`. Raises for delta <= 0, where the regime is not checked.
     """
-    he = _last_layer_he(net)
+    _last_layer_he(net)  # M != L is refused before delta
     _bound_delta(delta)
     ld = net.L * delta
     if ld >= 1.0:
         raise ValueError(f"L*delta = {ld:.6g} >= 1: the bound is vacuous")
-    k = ld * _width_factor(net) * _layer_caps(net)[-1]
-    s2 = net.sigma2
-    return _half_log_difference(k * net.h_t ** 2 / s2, k * he ** 2 / s2,
-                                -math.log2(1.0 - ld))
+    return _cut(net, ld * _width_factor(net) * _layer_caps(net)[-1], -math.log2(1.0 - ld))
 
 
 def high_snr_report(net: LayeredNetwork, delta: float) -> HighSnrReport:

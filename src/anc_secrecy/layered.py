@@ -20,7 +20,9 @@ beta_M then solves a quadratic in beta_M^2 whose coefficients generalize
 the printed two-node form to any N. They are computed from terms of known
 sign, so whenever the lemma's sign condition holds the quadratic has
 cal_A < 0 < cal_C in floating point too, and the closed form answers for
-every network it applies to.
+every network it applies to. That sign, h_M^2 alpha - h_e^2 nu, is formed
+once, beside the quadratic, and kept in the CoefficientSet that
+`lemma_beta_M` reads.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .network import (
     RateColumns,
     RateReport,
     ScalingVector,
+    _MAX_GAIN,
     _rate_reports,
     cascade,
 )
@@ -49,9 +52,11 @@ class CoefficientSet:
     signal power entering layer M over sigma2 (the lemma's rho E) and the
     forwarded noise power there over sigma2. alpha, d1 (the lemma's
     lam / rho), mu and nu are the downstream compounds, from which the
-    destination-SNR coefficients of the module docstring follow; cal_A,
-    cal_B, cal_C the stationary-point quadratic coefficients (in beta_M^2)
-    for layer M's width N.
+    destination-SNR coefficients of the module docstring follow; sign the
+    lemma's h_M^2 alpha - h_e^2 nu, whose sign picks layer M's optimum
+    (see `lemma_beta_M`); cal_A, cal_B, cal_C the stationary-point quadratic
+    coefficients (in beta_M^2) for layer M's width N, nan where h_e^2
+    passes the float range and the sign is <= 0 (see `_coefficients`).
     """
 
     snr: float
@@ -60,6 +65,7 @@ class CoefficientSet:
     d1: float
     mu: float
     nu: float
+    sign: float
     cal_A: float
     cal_B: float
     cal_C: float
@@ -131,6 +137,11 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
     t = nF + 1 and excess = mu - alpha stepped beside d2 as excess a + d3.
     So sign > 0 gives cal_A < 0 < cal_C in floating point too. Raises
     OverflowError when the quadratic's coefficients leave the float range.
+
+    Where h_e^2 passes the float range (|h_e| > `network._MAX_GAIN`), the
+    sign is formed from h_e (h_e nu). Where it is <= 0, beta_M = 0 needs no
+    quadratic, and cal_A, cal_B and cal_C are nan; otherwise OverflowError
+    names h_e.
     """
     s2, m = net.sigma2, net.M - 1
     snr, f_val = c.sig[m] / s2, c.fwd[m] / s2
@@ -148,32 +159,43 @@ def _coefficients(net: LayeredNetwork, n: int, he: float, c: Cascade) -> Coeffic
         d1, d2, d3, excess = d1 * a + d3, d2 * a + d3, s2 * (d2 * q + d3), excess * a + d3
     mu, nu = d2, d3 / s2
 
-    h_m2, he2 = net.gain_out(m) ** 2, he ** 2
-    t = n * f_val + 1.0
-    sign = h_m2 * alpha - he2 * nu
-    lam_e = d1 * snr
-    slack = n * lam_e + t * excess
-    cal_a = -n ** 2 * h_m2 * he2 * (
-        alpha * t * (t + n * snr) * sign
-        + h_m2 * slack * (n * lam_e + t * (mu + alpha) + n * alpha * snr))
-    cal_b = -2.0 * n * nu * h_m2 * he2 * slack
-    cal_c = nu * sign
-    if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
-        raise OverflowError("the layer-M quadratic's coefficients are not finite")
-    return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu,
+    h_m2 = net.gain_out(m) ** 2
+    if abs(he) > _MAX_GAIN:
+        # h_e^2 passes the float range, h_e^2 nu need not. A positive sign
+        # needs nu < h_M^2 alpha / h_e^2 < 1, and a nu that overflowed is
+        # d3 / sigma2 > 1 (sigma2 <= the float max): its sign is -inf rightly
+        sign = h_m2 * alpha - he * (he * nu)
+        if not sign <= 0:
+            raise OverflowError(f"h_e: its square overflows the float range, got {he!r}")
+        cal_a = cal_b = cal_c = math.nan
+    else:
+        he2 = he ** 2
+        t = n * f_val + 1.0
+        sign = h_m2 * alpha - he2 * nu
+        lam_e = d1 * snr
+        slack = n * lam_e + t * excess
+        cal_a = -n ** 2 * h_m2 * he2 * (
+            alpha * t * (t + n * snr) * sign
+            + h_m2 * slack * (n * lam_e + t * (mu + alpha) + n * alpha * snr))
+        cal_b = -2.0 * n * nu * h_m2 * he2 * slack
+        cal_c = nu * sign
+        if not all(np.isfinite(x).all() for x in (cal_a, cal_b, cal_c)):
+            raise OverflowError("the layer-M quadratic's coefficients are not finite")
+    return CoefficientSet(snr=snr, F=f_val, alpha=alpha, d1=d1, mu=mu, nu=nu, sign=sign,
                           cal_A=cal_a, cal_B=cal_b, cal_C=cal_c)
 
 
-def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
-                 beta_M_max: float | np.ndarray) -> LayerMSolution:
+def lemma_beta_M(coeffs: CoefficientSet, beta_M_max: float | np.ndarray) -> LayerMSolution:
     """Common optimal scaling for the snooped layer's nodes.
 
-    When h_M^2 alpha - h_e^2 nu > 0 the interior stationary point is
-    beta_glb^2 = (|B|/2|A|)(sqrt(1 + 4|A|C/B^2) - 1) in the quadratic's
-    coefficients, clipped at beta_M_max; otherwise zero is optimal. The
-    rationalized form 2C / (|B| + sqrt(B^2 + 4|A|C)) is used, which is the
-    same root and covers B = 0; B^2 is formed as B * B, the squaring rule of
-    `network`. The sign condition gives cal_A < 0 < cal_C (see
+    The sign is read from coeffs, which formed it with the quadratic from
+    one network. When coeffs.sign = h_M^2 alpha - h_e^2 nu > 0 the interior
+    stationary point is beta_glb^2 = (|B|/2|A|)(sqrt(1 + 4|A|C/B^2) - 1) in
+    the quadratic's coefficients, clipped at beta_M_max; otherwise zero is
+    optimal, and the quadratic is not read. The rationalized form
+    2C / (|B| + sqrt(B^2 + 4|A|C)) is used, which is the same root and
+    covers B = 0; B^2 is formed as B * B, the squaring rule of `network`.
+    The sign condition gives cal_A < 0 < cal_C (see
     `_coefficients`), so the root always exists. Its denominator is zero
     without an eavesdropper (h_e = 0), or where the coefficients underflow
     to 0; then beta_glb = inf and beta_M clips to its bound. Raises
@@ -188,8 +210,7 @@ def lemma_beta_M(coeffs: CoefficientSet, h_M: float, h_e: float,
     `cascade` and `_rate_reports`: it runs once per solve, never in the
     search oracle's per-point deferrals.
     """
-    sign = h_M ** 2 * coeffs.alpha - h_e ** 2 * coeffs.nu
-    bmax = np.asarray(beta_M_max, dtype=float)
+    sign, bmax = coeffs.sign, np.asarray(beta_M_max, dtype=float)
     if sign <= 0:
         beta_opt = beta_glb = np.zeros_like(bmax)
     else:
@@ -220,8 +241,7 @@ def _lemma_points(net: LayeredNetwork, P_s: np.ndarray | None = None
     n, he = _require_lemma_network(net)
     m = net.M - 1
     allmax = cascade(net, lambda l, bmax: bmax, P_s)
-    sol = lemma_beta_M(_coefficients(net, n, he, allmax), net.gain_out(m), he,
-                       allmax.bounds[m][0])
+    sol = lemma_beta_M(_coefficients(net, n, he, allmax), allmax.bounds[m][0])
     opt = cascade(net, lambda l, bmax: [sol.beta_opt] * len(bmax) if l == m else bmax, P_s)
     return opt, allmax, sol
 

@@ -274,28 +274,25 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _line_batch():
+def _line_batch() -> np.ndarray:
     """A line search's batch: the points of _LINE_SCAN, then the points the
     golden-section search evaluates on each end bracket of a line that keeps
     falling toward x = 0 or rising toward x = 1, recorded from `_golden_max`
-    itself; and, by the scan index of each end, the batch column of its
-    first point and each point's index among them."""
+    itself. The two end paths lie in (0, 1e-6) and (11/12, 1), so no point
+    repeats."""
     scan = _LINE_SCAN.tolist()
-    batch, ends = list(scan), {}
-    for j, lo, hi, slope in ((0, scan[0], scan[1], -1.0),
-                             (len(scan) - 1, scan[-2], scan[-1], 1.0)):
-        path: list[float] = []
-        _golden_max(lambda x: path.append(x) or slope * x, lo, hi)
-        ends[j] = (len(batch), {x: i for i, x in enumerate(path)})
-        batch += path
-    return np.array(batch), ends
+    batch = list(scan)
+    for lo, hi, slope in ((scan[0], scan[1], -1.0), (scan[-2], scan[-1], 1.0)):
+        _golden_max(lambda x: batch.append(x) or slope * x, lo, hi)
+    return np.array(batch)
 
 
 # a line whose scan peaks at an end of _LINE_SCAN mostly keeps rising
 # toward that end, so every golden-section comparison steps toward it and
 # its points are known before the search runs: `_refine` evaluates them in
-# the line's batch beside the scan
-_LINE_BATCH, _END_PATHS = _line_batch()
+# the line's batch beside the scan, and finds a point's column here
+_LINE_BATCH = _line_batch()
+_BATCH_COLUMN = {x: i for i, x in enumerate(_LINE_BATCH.tolist())}
 
 
 def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int]]
@@ -312,11 +309,12 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     batched over the searches a line needs, plus a golden-section refinement
     of the bracketing interval. Search g's columns of the batch, from
     g * _LINE_BATCH.size on, hold its scan and the golden-section points of
-    both end brackets (`_END_PATHS`). One reader over the whole batch
-    (`_Objective.columns`) gives a column's value by batch index, formed only
-    when it is read. Where the scan peaks at an end, the refinement reads its
-    points from the batch while it keeps stepping toward that end; any other
-    point, and every point of an interior peak, is evaluated alone by
+    both end brackets, each point's column in one table (`_BATCH_COLUMN`).
+    One reader over the whole batch (`_Objective.columns`) gives a column's
+    value by batch index, formed only when it is read. Where the scan peaks
+    at an end, the refinement reads every point the batch holds from it,
+    which it does while it keeps stepping toward that end; any other point,
+    and every point of an interior peak, is evaluated alone by
     `_Objective.line`. Both give the same value bit for bit, so the batch
     changes no comparison. A line search reads
     only the coordinates outside its line, so its result (x, value) is kept
@@ -358,13 +356,12 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
                     row = list(map(value, range(at, at + ns)))
                     j = int(np.argmax(row))
                     f = line = obj.line(ul, state, l, lo, hi)
-                    if j in _END_PATHS:
+                    if j in (0, ns - 1):
                         # this end's golden-section points are read from the batch
-                        off, path = _END_PATHS[j]
-                        off += at
 
                         def f(x):
-                            return value(off + path[x]) if x in path else line(x)
+                            i = _BATCH_COLUMN.get(x)
+                            return line(x) if i is None else value(at + i)
                     x_g, v_g = _golden_max(f, scan[max(j - 1, 0)], scan[min(j + 1, ns - 1)])
                     memo[key] = (x_g, v_g) if v_g > row[j] else (scan[j], row[j])
                 evals += len(todo) * (ns + _GOLDEN_STEPS + 2)

@@ -511,6 +511,47 @@ class TestCliProcess:
         assert main([mode, "--config", str(p)]) == 2
         assert "overflow the float range: a result is inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eavesdropper_gain_past_the_square_limit_exits_0(self, tmp_path, capsys, mode):
+        # h_e^2 passes the float range: every mode answers, solve and sweep
+        # with beta = 0 and r_s = 0 as the search finds, the bounds with 0
+        d = {"network": {"L": 1, "N": 2, "h_s": 1.0, "h": [], "h_t": 1.0, "h_e": 1e160,
+                         "M": 1, "P_s": 1e4, "P": 10.0, "sigma2": 1.0},
+             "mode": mode, "sweep": {"from": 1.0, "to": 100.0, "points": 3}, "delta": 0.01}
+        p = tmp_path / "huge_he.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        code = main([mode, "--config", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        cols = [dict(zip(header, map(float, row))) for row in rows]
+        if mode == "solve":
+            from anc_secrecy import maximize_secrecy
+            search = maximize_secrecy(LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=1e160,
+                                                             P_s=1e4, P=10.0, sigma2=1.0))
+            assert cols == [{"beta_1_1": 0.0, "beta_1_2": 0.0, "snr_t": 0.0, "snr_e": 0.0,
+                             "r_t": 0.0, "r_e": 0.0, "r_s": search.rate.r_s}]
+            assert search.rate.r_s == 0.0
+        elif mode == "sweep":
+            assert [(c["r_s_opt"], c["c_cut"]) for c in cols] == [(0.0, 0.0)] * 3
+        elif mode == "highsnr":
+            assert cols == [{"delta": 0.01, "c_cut": 0.0, "r_s_delta": 0.0, "actual_gap": 0.0,
+                             "gap_bound": 0.0}]
+        else:
+            assert cols and all(c["r_s"] >= 0.0 for c in cols)
+
+    def test_eavesdropper_gain_past_the_square_limit_with_a_positive_sign_named(
+            self, tmp_path, capsys):
+        d = {"network": {"L": 2, "N": 2, "h_s": 1.0, "h": [1e154], "h_t": 1.0,
+                         "h_e": 1.4e154, "M": 1, "P_s": 1.0, "P": 1e-10, "sigma2": 1e-300},
+             "mode": "solve"}
+        p = tmp_path / "huge_he.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == ("model error: the inputs overflow the float range: "
+                                           "h_e: its square overflows the float range, "
+                                           "got 1.4e+154\n")
+
     @pytest.mark.parametrize("mode", ["solve", "subset"])
     def test_search_past_the_float_range_in_squares_exits_0(self, tmp_path, capsys, mode):
         # per-node h_e sends solve to the search; a snooped term squared

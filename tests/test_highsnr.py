@@ -356,3 +356,49 @@ def test_lemma_class_networks_succeed(net):
 def test_guard_messages(call, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("h_e", [1e155, 1e160, -1e300])
+def test_eavesdropper_gain_past_the_square_limit_bounds_are_zero(h_e):
+    # |h_e| is then above every h_t a network takes: the cut and the gap are
+    # 0, and the delta-scaled rate takes its limit, 0
+    net = LayeredNetwork.diamond(N=2, h_s=1.0, h_t=1.0, h_e=h_e, P_s=1e4, P=10.0, sigma2=1.0)
+    assert cutset_bound(net) == 0.0 and gap_bound(net, 0.01) == 0.0
+    rep = achievable_highsnr(net, 0.01)
+    # the eavesdropper's SNR at its limit, P_st / P_zt = 2 (1 + delta) P_s / (1 + delta)
+    assert rep.r_s == 0.0 and rep.snr_e == pytest.approx(2e4, rel=1e-12)
+    assert rep.snr_e >= rep.snr_t
+    report = high_snr_report(net, 0.01)
+    assert (report.c_cut, report.r_s_delta, report.actual_gap, report.gap_bound) == (0.0,) * 4
+    # a zero cap or an overflowing destination SNR changes nothing
+    assert cutset_bound(replace(net, P=0.0)) == 0.0 and gap_bound(replace(net, P=0.0), 0.01) == 0.0
+    assert cutset_bound(replace(net, P=1e300, sigma2=1e-300)) == 0.0
+
+
+def test_mirror_past_the_square_limit_gives_zero_rate():
+    # (h_e / h_t)^2 passes the float range while h_e^2 does not; h_t^2
+    # underflows, so the destination's powers are 0
+    net = LayeredNetwork.diamond(N=1, h_s=0.1158, h_t=1e-300, h_e=3.48, P_s=1e300, P=0.0374,
+                                 sigma2=0.0183)
+    rep = achievable_highsnr(net, 0.01)
+    assert rep.r_s == 0.0 and rep.snr_t == 0.0 and math.isfinite(rep.snr_e)
+    report = high_snr_report(net, 0.01)
+    assert report.r_s_delta == 0.0 and report.actual_gap == report.c_cut
+    # sigma2 is negligible beside the destination's noise here, and the
+    # limit formed per unit of P_R(L+1) rounds to 29999.999999999996, below
+    # snr_t = 30000: the eavesdropper's SNR is kept at snr_t, so r_s = 0
+    net = LayeredNetwork.diamond(N=1, h_s=1.0, h_t=1e100, h_e=1e300, P_s=3e4, P=1.0,
+                                 sigma2=1.0)
+    rep = achievable_highsnr(net, 0.01)
+    assert rep.snr_t == 30000.0 and rep.snr_e == rep.snr_t and rep.r_s == 0.0
+
+
+def test_bounds_refuse_in_their_order_past_the_square_limit():
+    # gap_bound checks M = L before delta, also where h_e^2 overflows
+    net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=1.0, h=(0.7,), h_t=1.0, h_e=1e160,
+                         M=1, P_s=10.0, P=10.0, sigma2=1.0)
+    for call in (cutset_bound, lambda n: gap_bound(n, 0.0), lambda n: gap_bound(n, 0.5)):
+        with pytest.raises(ValueError, match=r"on the last layer \(M = L\)"):
+            call(net)
+    with pytest.raises(ValueError, match=r"the bounds need delta > 0"):
+        gap_bound(replace(net, M=2), 0.0)

@@ -143,7 +143,7 @@ class TestExtraction:
     def test_fig5a_coefficients_feed_the_optimum(self):
         co = extract_coefficients(FIG5A)
         bmax_m = beta_max_vector(FIG5A).beta[1][0]
-        sol = lemma_beta_M(co, FIG5A.h_t, FIG5A.common_h_e, bmax_m)
+        sol = lemma_beta_M(co, bmax_m)
         # frozen by an independent scratch derivation: the interior point
         # exceeds the bound, so the optimum clips at beta_max
         assert sol.sign_positive
@@ -184,7 +184,7 @@ class TestLemmaBetaM:
         net = LayeredNetwork.diamond(N=2, h_s=0.5, h_t=0.2, h_e=0.6, P_s=4, P=4,
                                      sigma2=1)
         co = extract_coefficients(net)
-        sol = lemma_beta_M(co, net.h_t, net.common_h_e, 1.0)
+        sol = lemma_beta_M(co, 1.0)
         assert not sol.sign_positive
         assert sol.beta_opt == 0.0
 
@@ -229,14 +229,14 @@ class TestLemmaBetaM:
         m = net.M - 1
         allmax = cascade(net, lambda l, bmax: bmax, P_s)
         co = _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax)
-        return lemma_beta_M(co, net.gain_out(m), net.common_h_e, allmax.bounds[m][0])
+        return lemma_beta_M(co, allmax.bounds[m][0])
 
     @staticmethod
     def _alone(net, p):
         net_p = replace(net, P_s=p)
         m = net.M - 1
         co = extract_coefficients(net_p)
-        sol = lemma_beta_M(co, net.gain_out(m), net.common_h_e, beta_max_vector(net_p).beta[m][0])
+        sol = lemma_beta_M(co, beta_max_vector(net_p).beta[m][0])
         if sol.sign_positive:
             # the root on Python floats, by math.sqrt, with B^2 as B * B
             denom = abs(co.cal_B) + math.sqrt(co.cal_B * co.cal_B
@@ -281,7 +281,7 @@ class TestLemmaBetaM:
             bmax = allmax.bounds[m][0]
             if bound is not None:
                 bmax = bound if P_s is None else np.array([bound])
-            sols.append(lemma_beta_M(co, net.gain_out(m), net.common_h_e, bmax))
+            sols.append(lemma_beta_M(co, bmax))
         point, column = sols
         assert (type(point.beta_opt), type(point.beta_glb), type(point.clipped)) == \
             (float, float, bool)
@@ -459,7 +459,7 @@ class TestLemmaClass:
             allmax = cascade(net, lambda l, bmax: bmax)
             lemma = lemma_beta_M(
                 _coefficients(net, net.nodes_per_layer[m], net.common_h_e, allmax),
-                net.gain_out(m), net.common_h_e, float(allmax.bounds[m][0]))
+                float(allmax.bounds[m][0]))
             r_lemma = rates(net, max_scaling_with_layer(net, m, lemma.beta_opt)).r_s
             r_search = maximize_secrecy(net, cfg=self.CFG).rate.r_s
             tol = max(1e-4, 1e-4 * max(abs(r_lemma), abs(r_search)))
@@ -507,3 +507,64 @@ class TestLemmaClass:
             path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
             assert main(["sweep", "--config", str(path),
                          "--output", str(tmp_path / f"ragged{i}.csv")]) == 0
+
+
+def test_lemma_reads_the_sign_from_its_coefficients():
+    # the sign is formed once, with the quadratic, from the network's gains;
+    # lemma_beta_M takes it from there, so a replaced sign decides alone
+    m = FIG5A.M - 1
+    co = extract_coefficients(FIG5A)
+    want = FIG5A.gain_out(m) ** 2 * co.alpha - FIG5A.common_h_e ** 2 * co.nu
+    assert co.sign.hex() == want.hex() and co.sign > 0
+    bmax = beta_max_vector(FIG5A).beta[m][0]
+    assert lemma_beta_M(co, bmax).sign_positive
+    sol = lemma_beta_M(replace(co, sign=-1.0), bmax)
+    assert (sol.beta_opt, sol.beta_glb, sol.clipped, sol.sign_positive) == (0.0, 0.0, False, False)
+    batch = lemma_beta_M(replace(co, sign=-1.0), np.full(3, bmax))
+    assert not batch.beta_opt.any() and not batch.beta_glb.any() and not batch.sign_positive
+
+
+# an eavesdropper gain whose square passes the float range
+_HUGE_HE = (1e155, 1e160, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("h_e", _HUGE_HE)
+@pytest.mark.parametrize("L, M", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+def test_eavesdropper_gain_past_the_square_limit_gives_zero(h_e, L, M):
+    # the lemma's sign is <= 0 there: beta_M = 0 and r_s = 0, without the
+    # quadratic, for a point and a batch alike, and the search agrees
+    net = LayeredNetwork(L=L, nodes_per_layer=(2,) * L, h_s=1.0, h=(0.7,) * (L - 1), h_t=1.0,
+                         h_e=h_e, M=M, P_s=10.0, P=10.0, sigma2=1.0)
+    co = extract_coefficients(net)
+    assert co.sign < 0 and math.isnan(co.cal_A)
+    sol = optimal_scaling(net)
+    assert sol.beta.beta[M - 1] == (0.0, 0.0) and not sol.layer_m.sign_positive
+    assert sol.rate.r_s == 0.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        opt, _ = optimal_rates(net, [1.0, 10.0, 1e6])
+    assert opt.r_s == [0.0] * 3
+    rep = verify_against_closed_form(net, SearchConfig(restarts=6))
+    assert rep.passed and rep.rate_oracle == 0.0
+
+
+def test_eavesdropper_gain_past_the_square_limit_with_an_overflowed_nu():
+    # sigma2 = 1e300 sends d3, and so nu, past the float range, while the
+    # true nu is above 1e300: the sign is truly negative, and the closed
+    # form answers as the search does
+    net = LayeredNetwork(L=2, nodes_per_layer=(1, 1), h_s=5.426, h=(0.1196,), h_t=1.7797,
+                         h_e=1e160, M=1, P_s=1.0, P=63.11, sigma2=1e300)
+    co = extract_coefficients(net)
+    assert co.nu == math.inf and co.sign == -math.inf
+    rep = verify_against_closed_form(net, SearchConfig(restarts=6))
+    assert rep.passed and rep.rate_closed == rep.rate_oracle == 0.0
+
+
+def test_eavesdropper_gain_past_the_square_limit_with_a_positive_sign_named():
+    # nu is tiny beside h_M^2 alpha / h_e^2, so the sign is positive and the
+    # quadratic needs h_e^2: the error names h_e
+    net = LayeredNetwork(L=2, nodes_per_layer=(2, 2), h_s=1.0, h=(1e154,), h_t=1.0,
+                         h_e=1.4e154, M=1, P_s=1.0, P=1e-10, sigma2=1e-300)
+    for call in (extract_coefficients, optimal_scaling):
+        with pytest.raises(OverflowError,
+                           match=r"^h_e: its square overflows the float range, got 1\.4e\+154$"):
+            call(net)

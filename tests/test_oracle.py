@@ -19,7 +19,7 @@ from anc_secrecy import (
 )
 from anc_secrecy.network import _rate_reports, cascade
 from anc_secrecy import oracle
-from anc_secrecy.oracle import (_END_PATHS, _GOLDEN_STEPS, _GRID_BUDGET, _GRID_POINTS,
+from anc_secrecy.oracle import (_BATCH_COLUMN, _GOLDEN_STEPS, _GRID_BUDGET, _GRID_POINTS,
                                 _LINE_BATCH, _LINE_SCAN, _LOG_FAMILY, _RANDOM_SCAN, _SCAN_BLOCK,
                                 _candidates, _golden_max, _Objective, _refine, _top_k)
 from conftest import fixed_betas, random_diamond, random_ecgal
@@ -155,14 +155,14 @@ def test_clipping_boundary_instance():
         net = LayeredNetwork(h_e=mid, **base)
         co = extract_coefficients(net)
         bmax_m = beta_max_vector(net).beta[1][0]
-        sol = lemma_beta_M(co, net.h_t, mid, bmax_m)
+        sol = lemma_beta_M(co, bmax_m)
         if sol.beta_glb > bmax_m:
             lo = mid  # smaller h_e pushes the interior point out
         else:
             hi = mid
     net = LayeredNetwork(h_e=0.5 * (lo + hi), **base)
     co = extract_coefficients(net)
-    sol = lemma_beta_M(co, net.h_t, net.common_h_e, bmax_m)
+    sol = lemma_beta_M(co, bmax_m)
     assert abs(sol.beta_glb - bmax_m) / bmax_m < 0.01
     rep = verify_against_closed_form(net, cfg=SearchConfig(restarts=6, seed=9))
     assert rep.passed, rep
@@ -581,12 +581,13 @@ def test_end_paths_are_the_points_the_golden_search_evaluates(end, f):
     lo, hi = scan[max(end - 1, 0)], scan[min(end + 1, len(scan) - 1)]
     asked = []
     _golden_max(lambda x: asked.append(x) or f(x), lo, hi)
-    col, path = _END_PATHS[end]
+    col = len(scan) + (0 if end == 0 else _GOLDEN_STEPS + 2)
+    path = _LINE_BATCH[col:col + _GOLDEN_STEPS + 2].tolist()
     assert [x.hex() for x in path] == [x.hex() for x in asked]
     assert [x.hex() for x in _LINE_BATCH[col:col + len(path)].tolist()] == [x.hex() for x in asked]
-    assert list(path.values()) == list(range(len(path)))
+    assert [_BATCH_COLUMN[x] for x in path] == list(range(col, col + len(path)))
     assert len(path) == _GOLDEN_STEPS + 2 and all(lo < x < hi for x in path)
-    assert sorted(_END_PATHS) == [0, len(scan) - 1]
+    assert sorted(_BATCH_COLUMN.values()) == list(range(_LINE_BATCH.size))
     assert _LINE_BATCH[:len(scan)].tolist() == scan
     assert _LINE_BATCH.size == len(scan) + 2 * (_GOLDEN_STEPS + 2)
 
@@ -659,14 +660,15 @@ def test_end_paths_from_the_batch_change_no_result(monkeypatch):
         return ([_result_bits(maximize_secrecy(net, snoop, SearchConfig(restarts=2)))
                  for net, snoop in cases], list(searches))
     served, served_searches = run()
-    monkeypatch.setattr(oracle, "_END_PATHS", {})
+    monkeypatch.setattr(oracle, "_BATCH_COLUMN", {})
     assert run() == (served, served_searches)
     # the draw holds end-peaked searches that keep stepping toward their end
     # throughout, and ones whose comparisons leave that one-way path, which
     # then evaluate their remaining points alone
     scan = _LINE_SCAN.tolist()
-    ends = {(scan[0], scan[1]): list(_END_PATHS[0][1]),
-            (scan[-2], scan[-1]): list(_END_PATHS[len(scan) - 1][1])}
+    k = len(scan) + _GOLDEN_STEPS + 2
+    ends = {(scan[0], scan[1]): _LINE_BATCH[len(scan):k].tolist(),
+            (scan[-2], scan[-1]): _LINE_BATCH[k:].tolist()}
     one_way = [xs == ends[b] for b, xs in served_searches if b in ends]
     assert sum(one_way) >= 1000 and len(one_way) - sum(one_way) >= 30, \
         (len(served_searches), len(one_way), sum(one_way))
@@ -684,5 +686,5 @@ def test_extreme_draw_reads_batch_columns_past_the_float_range(monkeypatch):
     monkeypatch.setattr(_Objective, "columns", spy)
     served = _result_bits(maximize_secrecy(_EXTREME, cfg=SearchConfig(restarts=6)))
     assert sum(nonfinite) > 0
-    monkeypatch.setattr(oracle, "_END_PATHS", {})
+    monkeypatch.setattr(oracle, "_BATCH_COLUMN", {})
     assert _result_bits(maximize_secrecy(_EXTREME, cfg=SearchConfig(restarts=6))) == served

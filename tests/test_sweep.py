@@ -29,8 +29,7 @@ def _point_optimum(net_p: LayeredNetwork):
     coefficients, layer M's optimum within its all-max bound, and every
     other layer at maximum."""
     m = net_p.M - 1
-    sol = lemma_beta_M(extract_coefficients(net_p), net_p.gain_out(m), net_p.common_h_e,
-                       beta_max_vector(net_p).beta[m][0])
+    sol = lemma_beta_M(extract_coefficients(net_p), beta_max_vector(net_p).beta[m][0])
     return rates(net_p, max_scaling_with_layer(net_p, m, sol.beta_opt))
 
 
