@@ -14,7 +14,12 @@ the parent's median with its quartiles, the change's median, their
 relative difference, and in how many pairs the change did better by the
 metric's `better`. Where the parent's quartile spread, relative to its
 median, exceeds the metric's bound, the line ends in `unresolved`: the
-host's noise is then wider than the difference the bound allows.
+host's noise is then wider than the difference the bound allows. Where the
+change won at least 9 in 10 of the pairs and its median is better than the
+parent's by more than the parent's quartile spread, the line ends in `gain
+resolved`, the rule a claimed gain must meet; where the change's median is
+worse than the parent's by more than the bound (relative to the parent's
+median), in `worse beyond bound`.
 """
 from __future__ import annotations
 
@@ -51,10 +56,18 @@ def summary(parent: list[dict], change: list[dict], metrics: list[dict]) -> list
         q1, med, q3 = statistics.quantiles(a, n=4, method="inclusive")
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        line = (f"{m['name']}: {med:.6g} [{q1:.6g}, {q3:.6g}] -> {statistics.median(b):.6g} "
-                f"{m['unit']} ({statistics.median(b) / med - 1:+.1%}), "
+        new = statistics.median(b)
+        gain = sign * (new - med)
+        line = (f"{m['name']}: {med:.6g} [{q1:.6g}, {q3:.6g}] -> {new:.6g} "
+                f"{m['unit']} ({new / med - 1:+.1%}), "
                 f"change better in {wins} of {len(a)}")
-        lines.append(line + (", unresolved" if (q3 - q1) / med > m["bound"] else ""))
+        if (q3 - q1) / med > m["bound"]:
+            line += ", unresolved"
+        if 10 * wins >= 9 * len(a) and gain > q3 - q1:
+            line += ", gain resolved"
+        if -gain > m["bound"] * abs(med):
+            line += ", worse beyond bound"
+        lines.append(line)
     return lines
 
 

@@ -66,6 +66,11 @@ class RegimeViolationError(ValueError):
         )
 
 
+# the types a row of numbers is read in one pass from: exactly int or float,
+# so bool (an int) and numpy's scalars take the per-number path
+_PLAIN = frozenset((int, float))
+
+
 def _number(key: str, value, depth: int = 0, integer: bool = False):
     """A finite number, or lists of them nested `depth` deep, as floats, or as
     ints when `integer` (integral values such as 2.0 only). Booleans and
@@ -73,7 +78,16 @@ def _number(key: str, value, depth: int = 0, integer: bool = False):
     if depth:
         if not isinstance(value, (list, tuple, np.ndarray)):
             raise ValueError(f"{key}: must be a list, got {value!r}")
-        return tuple(_number(key, v, depth - 1, integer) for v in value)
+        if depth == 1 and not integer:
+            # a row of finite plain ints and floats in one pass; any other
+            # row takes the per-number path below, which words each error
+            try:
+                row = [float(v) for v in value if type(v) in _PLAIN and math.isfinite(v)]
+            except OverflowError:  # an int past the float range
+                row = ()
+            if len(row) == len(value):
+                return tuple(row)
+        return tuple([_number(key, v, depth - 1, integer) for v in value])
     if isinstance(value, (bool, np.bool_, str, bytes)):
         raise ValueError(f"{key}: must be a number, got {value!r}")
     try:

@@ -222,26 +222,33 @@ class _Objective:
             return self.kernel_values(X[:, i])[0]
         return value
 
-    def scan(self, U: np.ndarray) -> np.ndarray:
-        """Values of the rows of a (B, dim) matrix, for ranking coarse-scan
-        candidates, as an array: the logs are np.log2's, so a value may
-        differ from the scalar one in the last bits, where `columns` reads
-        each by math.log2. The rows run in round(B / _SCAN_BLOCK) even
-        blocks (at least one); every value is elementwise, so the blocks
-        change none of them. One np.isfinite pass finds a block's rows whose
+    def scan(self, U) -> np.ndarray:
+        """Values of the rows of a (B, dim) matrix, or of the store
+        `_candidates` returns, for ranking coarse-scan candidates, as an
+        array: the logs are np.log2's, so a value may differ from the scalar
+        one in the last bits, where `columns` reads each by math.log2. The
+        rows run in round(B / _SCAN_BLOCK) even blocks (at least one), cut as
+        np.array_split cuts them; a store's block is decoded a coordinate at
+        a time (`_Columns`) into the floats a matrix holds, and every
+        value is elementwise, so neither the blocks nor the store change any
+        of them. One np.isfinite pass finds a block's rows whose
         state is not finite, and they take the kernel's values, all in one
         batch. The recursion starts from self.start as floats, the point
         path's rule (see `network`): the state becomes (B,) columns at the
         first layer, and the eavesdropper's powers stay floats where no node
         is snooped."""
+        k = max(1, round(len(U) / _SCAN_BLOCK))
+        q, r = divmod(len(U), k)
+        ends = [i * q + min(i, r) for i in range(k + 1)]
         vals = []
-        for block in np.array_split(U, max(1, round(len(U) / _SCAN_BLOCK))):
-            t, e, total = self._terms(block.T, self.start, 0)
+        for a, b in zip(ends, ends[1:]):
+            X = _Columns(U, a, b) if isinstance(U, _Store) else U[a:b].T
+            t, e, total = self._terms(X, self.start, 0)
             with np.errstate(over="ignore", invalid="ignore"):
                 vals.append(0.5 * (np.log2(t) - np.log2(e)))
                 defer = np.flatnonzero(~np.isfinite(total))
                 if defer.size:
-                    vals[-1][defer] = self.kernel_values(block[defer])
+                    vals[-1][defer] = self.kernel_values(U[a + defer])
         return np.concatenate(vals)
 
 
@@ -377,10 +384,63 @@ def _refine(obj: _Objective, starts: np.ndarray, lines: list[tuple[int, int, int
     return list(zip(best, us, conv)), evals
 
 
+class _Store:
+    """The coarse scan's candidates: the rows of a (B, dim) float matrix,
+    kept compact and decoded only where read. The structured rows are uint8
+    codes into one float table, one column per row; the random rows are a
+    (_RANDOM_SCAN, dim) view of the seed's stream. store[index] is the rows
+    at an index array, as the matrix indexed so gives them; `_Columns` reads
+    a block of rows a coordinate at a time, as the scan does. Every decoded
+    float is the float the matrix holds."""
+
+    def __init__(self, codes: np.ndarray, table: np.ndarray, random: np.ndarray):
+        self.codes, self.table, self.random = codes, table, random
+
+    def __len__(self) -> int:
+        return self.codes.shape[1] + len(self.random)
+
+    def __getitem__(self, index) -> np.ndarray:
+        index, n = np.asarray(index), self.codes.shape[1]
+        rows = np.empty((index.size, len(self.codes)))
+        coded = index < n
+        rows[coded] = self.table.take(self.codes[:, index[coded]]).T
+        rows[~coded] = self.random[index[~coded] - n]
+        return rows
+
+
+class _Columns:
+    """Rows a to b of a store as the (dim, b - a) matrix `_Objective.advance`
+    reads: its row k, the block's coordinate k, is decoded into a contiguous
+    array when read. The recursion reads each coordinate once, so one
+    decoded row at a time is alive, of the size of the block's other
+    temporaries."""
+
+    def __init__(self, store: _Store, a: int, b: int):
+        self.store, self.a, self.b = store, a, b
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        store, a, b = self.store, self.a, self.b
+        n = store.codes.shape[1]
+        coded = store.table.take(store.codes[k, a:b])
+        if b <= n:
+            return coded
+        return np.concatenate((coded, store.random[max(a - n, 0):b - n, k]))
+
+
 @functools.lru_cache(maxsize=16)
-def _candidates(widths: tuple[int, ...], seed: int) -> np.ndarray:
-    """The coarse scan's candidates for a network of these layer widths, one
-    per column of a read-only, C-contiguous (dim, B) array, in this order:
+def _stream(seed: int) -> np.ndarray:
+    """The first _RANDOM_SCAN * 16 draws of np.random.default_rng(seed),
+    read-only: the first _RANDOM_SCAN * dim of them are, in order, the draws
+    of random((_RANDOM_SCAN, dim)) for every dim up to 16."""
+    stream = np.random.default_rng(seed).random(_RANDOM_SCAN * 16)
+    stream.flags.writeable = False
+    return stream
+
+
+@functools.lru_cache(maxsize=16)
+def _candidates(widths: tuple[int, ...], seed: int) -> _Store:
+    """The coarse scan's candidates for a network of these layer widths (at
+    most 16 nodes in all), one per row of a read-only store, in this order:
     the all-ones point; the exhaustive grid when dim <= 8 (resolution
     limited by an evaluation budget); the per-layer symmetric grid, where
     all nodes of a layer share one value; one layer backed off onto a log
@@ -388,10 +448,15 @@ def _candidates(widths: tuple[int, ...], seed: int) -> np.ndarray:
     points from np.random.default_rng(seed), which draws nothing else.
 
     A pure function of (widths, seed), so it is built once per pair and
-    cached. Raises ValueError, before any array is built, where the count
-    passes _MAX_CANDIDATES. That limit caps an entry at about 69 MB (L = 12
-    with dim 16: 535,814 candidates), so the cache holds at most about
-    1.1 GB, and a few MB for the networks the search usually sees.
+    cached. Every structured coordinate is 1, a grid point, a symmetric-grid
+    point or a log-family point, at most 1 + 101 + 41 + 23 = 166 values, so
+    those candidates are kept as uint8 codes into a table of them; the
+    random points are a view of `_stream(seed)`, shared by all widths.
+    Raises ValueError, before any array is built, where the count passes
+    _MAX_CANDIDATES. That limit caps an entry at 8.5 MB of codes (L = 12
+    with dim 16: 535,814 candidates; 68.6 MB as floats), so the cache holds
+    at most about 144 MB with its streams (1.1 GB as floats), and about
+    1 MB for the nine shapes `verify` draws (5.0 MB as floats).
     """
     dim, L = sum(widths), len(widths)
     per_dim = _GRID_POINTS
@@ -403,21 +468,27 @@ def _candidates(widths: tuple[int, ...], seed: int) -> np.ndarray:
     if sum(sizes) > _MAX_CANDIDATES:
         raise ValueError(f"the coarse scan's {sum(sizes)} candidates exceed the limit of "
                          f"{_MAX_CANDIDATES} (the per-layer grid has {per_layer}^{L} points)")
-    C = np.ones((dim, sum(sizes)))
+    # code 0 is 1.0, a coordinate at its bound; the grid's values follow from
+    # code grid on, the symmetric grid's from sym and the log family's from log
+    axes = [[1.0], np.linspace(0.0, 1.0, per_dim if sizes[1] else 0),
+            np.linspace(0.0, 1.0, per_layer), _LOG_FAMILY]
+    grid, sym, log = np.cumsum([len(x) for x in axes[:3]]).tolist()
+    table = np.concatenate(axes)
+    codes = np.zeros((dim, sum(sizes[:4])), np.uint8)
     at = np.cumsum(sizes).tolist()
     if sizes[1]:
-        mesh = np.meshgrid(*([np.linspace(0.0, 1.0, per_dim)] * dim), indexing="ij")
-        for row, g in zip(C[:, at[0]:at[1]], mesh):
+        mesh = np.meshgrid(*([np.arange(grid, grid + per_dim, dtype=np.uint8)] * dim),
+                           indexing="ij")
+        for row, g in zip(codes[:, at[0]:at[1]], mesh):
             row[:] = g.ravel()
     offs = np.cumsum((0,) + widths).tolist()
-    sym = np.meshgrid(*([np.linspace(0.0, 1.0, per_layer)] * L), indexing="ij")
-    for l, g in enumerate(sym):
-        C[offs[l]:offs[l + 1], at[1]:at[2]] = g.ravel()
+    mesh = np.meshgrid(*([np.arange(sym, sym + per_layer, dtype=np.uint8)] * L), indexing="ij")
+    for l, g in enumerate(mesh):
+        codes[offs[l]:offs[l + 1], at[1]:at[2]] = g.ravel()
         a = at[2] + l * _LOG_FAMILY.size
-        C[offs[l]:offs[l + 1], a:a + _LOG_FAMILY.size] = _LOG_FAMILY
-    C[:, at[3]:] = np.random.default_rng(seed).random((_RANDOM_SCAN, dim)).T
-    C.flags.writeable = False
-    return C
+        codes[offs[l]:offs[l + 1], a:a + _LOG_FAMILY.size] = np.arange(log, len(table))
+    codes.flags.writeable = table.flags.writeable = False
+    return _Store(codes, table, _stream(seed)[:_RANDOM_SCAN * dim].reshape(_RANDOM_SCAN, dim))
 
 
 def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
@@ -440,7 +511,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
         raise ValueError("search dimension above 16 is unsupported")
     obj = _Objective(net, _snooped_nodes(net, snooped))
 
-    U = _candidates(tuple(net.nodes_per_layer), cfg.seed).T
+    U = _candidates(tuple(net.nodes_per_layer), cfg.seed)
     vals = obj.scan(U)
     n_starts = min(cfg.restarts, len(vals))
     order = _top_k(vals, n_starts)
@@ -461,7 +532,7 @@ def maximize_secrecy(net: LayeredNetwork, snooped: Iterable[int] | None = None,
     chosen = min(map(obj.kernel, tied.values()),
                  key=lambda c: [b for row in c.betas for b in row])
     diag = OracleDiagnostics(
-        n_evals=int(U.shape[0]) + evals,
+        n_evals=len(U) + evals,
         n_starts=n_starts,
         converged=all(c for _, _, c in finals),
         # `not <=`, so that a nan spread counts as multimodal

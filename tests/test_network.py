@@ -14,7 +14,7 @@ from anc_secrecy import (
     beta_max_vector,
     rates,
 )
-from anc_secrecy.network import _MAX_NODES, _rate_reports, cascade
+from anc_secrecy.network import _MAX_NODES, _number, _rate_reports, cascade
 from conftest import (fixed_betas, random_feasible_scaling, random_network,
                       rates_by_path_enumeration)
 
@@ -516,3 +516,27 @@ def test_degenerate_beta_max_guard():
     with pytest.raises(ValueError):
         LayeredNetwork.diamond(N=1, h_s=0.0, h_t=0.0, h_e=0.0, P_s=0, P=1,
                                sigma2=-1.0)
+
+
+def _per_number(key, row):
+    """A row parsed one number at a time, or the message of its first error."""
+    try:
+        return tuple(_number(key, v) for v in row)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("row", [
+    [0.5, 2, 3.0], (), (1e300, -0.0, 10 ** 300), np.array([0.5, 1.0]), [np.float64(0.5), 1.0],
+    [0.5, True], [1.0, math.nan], [-math.inf], [10 ** 400], [1.0, "x"], [None], [[1.0]]])
+def test_row_parse_equals_the_per_number_parse(row):
+    # a row of plain finite numbers is read in one pass; every other row
+    # gives the values and the error messages of the number-by-number parse
+    want = _per_number("beta", row)
+    try:
+        got = _number("beta", row, 1)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+    if isinstance(got, tuple):
+        assert all(type(x) is float for x in got)

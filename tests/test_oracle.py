@@ -421,19 +421,89 @@ def _candidates_before_the_cache(widths, seed):
     return np.vstack(cands)
 
 
+def _decoded(store):
+    """Every row of a candidate store, decoded: the (B, dim) float matrix."""
+    return store[np.arange(len(store))]
+
+
 @pytest.mark.parametrize("widths", [(1,), (3,), (2, 2), (1, 3, 2), (3, 3, 3), (2, 1, 4, 1, 3),
                                     (1,) * 8])
 def test_candidates_are_cached_read_only(widths):
     C = _candidates(widths, 4)
-    assert C.flags.c_contiguous and C.shape[0] == sum(widths)
-    with pytest.raises(ValueError):
-        C[0, 0] = 0.5
+    rows = _decoded(C)
+    assert rows.flags.c_contiguous and rows.shape[1] == sum(widths)
+    for part in (C.codes, C.table, C.random):
+        with pytest.raises(ValueError):
+            part.flat[0] = 0
     assert _candidates(widths, 4) is C
-    assert np.array_equal(C.T, _candidates_before_the_cache(widths, 4))
+    assert np.array_equal(rows, _candidates_before_the_cache(widths, 4))
     # only the seeded block depends on the seed
-    other = _candidates(widths, 5)
-    assert np.array_equal(other[:, :-_RANDOM_SCAN], C[:, :-_RANDOM_SCAN])
-    assert (other[:, -_RANDOM_SCAN:] != C[:, -_RANDOM_SCAN:]).all()
+    other = _decoded(_candidates(widths, 5))
+    assert np.array_equal(other[:-_RANDOM_SCAN], rows[:-_RANDOM_SCAN])
+    assert (other[-_RANDOM_SCAN:] != rows[-_RANDOM_SCAN:]).all()
+
+
+# the deferral-heavy diamond of test_blocked_scan_equals_one_batch: most of
+# its candidates defer to the kernel
+DEFERRING = LayeredNetwork.diamond(
+    N=2, h_s=1.0, h_t=1.0, h_e=(9.207416006867998e+109, 1.0347502824058397e+151),
+    P_s=188.22786081696952, P=4.226992132749403e+290, sigma2=4.1640104539120186e-299)
+
+
+def _ragged(widths, M):
+    """A network of these widths snooped at layer M, with per-node h_e and
+    a cap per layer."""
+    L = len(widths)
+    return LayeredNetwork(L=L, nodes_per_layer=widths, h_s=0.7,
+                          h=tuple(np.linspace(0.6, 1.3, L - 1).tolist()), h_t=0.4,
+                          h_e=tuple(np.linspace(0.1, 0.5, widths[M - 1]).tolist()), M=M,
+                          P_s=6.0, P=tuple((3.0 + l,) * n for l, n in enumerate(widths)),
+                          sigma2=0.8)
+
+
+@pytest.mark.parametrize("net, snoop", [(_ragged((2, 1, 4, 1, 3), 3), (0, 2, 3)),
+                                        (_ragged((1,) * 8, 5), (0,)), (DEFERRING, (0, 1))])
+def test_scan_over_the_store_equals_the_matrix(net, snoop):
+    # byte for byte, over blocks of coded rows, of random rows and one of both
+    obj = _Objective(net, snoop)
+    C = _candidates(net.nodes_per_layer, 6)
+    deferred, kernel_values = [], obj.kernel_values
+
+    def spy(u):
+        deferred.append(len(u))
+        return kernel_values(u)
+    obj.kernel_values = spy
+    vals = obj.scan(C)
+    assert (sum(deferred) > len(C) // 2) == (net is DEFERRING)
+    matrix = _candidates_before_the_cache(net.nodes_per_layer, 6)
+    assert vals.tobytes() == obj.scan(matrix).tobytes()
+    # a block's decoded coordinates are the matrix's, contiguous
+    a = C.codes.shape[1] - 5
+    X, want = oracle._Columns(C, a, a + 9), matrix[a:a + 9]
+    for k in range(sum(net.nodes_per_layer)):
+        assert X[k].flags.c_contiguous and X[k].tobytes() == want[:, k].copy().tobytes()
+
+
+@pytest.mark.parametrize("net", [RAGGED[1], EXAMPLE1, DEFERRING])
+def test_search_over_the_store_equals_the_matrix(net):
+    # the same starts, bit for bit, and the same result and n_evals as a
+    # search over the candidate matrix
+    def search():
+        starts, refine = [], oracle._refine
+
+        def spy(obj, s, lines):
+            starts.append(np.array(s))
+            return refine(obj, s, lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_refine", spy)
+            res = maximize_secrecy(net, cfg=SearchConfig(restarts=7, seed=11))
+        return res, starts[0]
+    res, starts = search()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_candidates", _candidates_before_the_cache)
+        want, want_starts = search()
+    assert starts.tobytes() == want_starts.tobytes() and len(starts) == 7
+    assert res == want and res.diagnostics.n_evals == want.diagnostics.n_evals
 
 
 def test_search_reuses_its_candidates():
